@@ -46,19 +46,17 @@ from .minimal import (
     generate_minimal,
     minimal_families,
     quad_minimal,
-    quad_reflect_params,
     realize,
     triangle_minimal,
     verify_classification,
 )
 from .oracle import (
     brute_force_lattice_size,
-    candidate_directions,
     canonical_form,
     is_minimal,
     lattice_equivalent,
 )
-from .reduction import LatticeBasis, argmin_shift, gauss_reduce, is_reduced
+from .reduction import LatticeBasis, gauss_reduce
 from .size import (
     ContainmentCertificate,
     InvariantsReport,
@@ -94,9 +92,7 @@ __all__ = [
     "UnimodularMap",
     "apply_map",
     "area",
-    "argmin_shift",
     "brute_force_lattice_size",
-    "candidate_directions",
     "canonical_form",
     "check_bounds",
     "check_touch",
@@ -111,7 +107,6 @@ __all__ = [
     "hull",
     "invariants",
     "is_minimal",
-    "is_reduced",
     "lattice_equivalent",
     "lattice_points",
     "lattice_width",
@@ -120,7 +115,6 @@ __all__ = [
     "parse_polygon_text",
     "polygon_to_text",
     "quad_minimal",
-    "quad_reflect_params",
     "realize",
     "simplex_dilates",
     "thin_triangle",

@@ -14,20 +14,17 @@ failure (oracle disagreement, negative slack, classification mismatch),
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import multiprocessing
 import os
 import sys
 
 from .bounds import EqualityFamily, check_bounds
-from .enumeration import DEFAULT_GRID_LIMIT, enumerate_classes, enumerate_convex
+from .enumeration import DEFAULT_GRID_LIMIT, enumerate_classes, enumerate_convex, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import (
     SIMPLEX,
     SQUARE,
     ConvexPolygon,
-    Point,
     parse_polygon_text,
     polygon_to_text,
 )
@@ -37,10 +34,6 @@ from .size import invariants
 
 _JOBS_ENV = "LATTICESIZE_JOBS"
 _FAILURE_LIMIT = 20  # failures listed in corpus-check output before truncation
-
-
-def _rat(value) -> str:
-    return str(value)
 
 
 def _poly_line(P: ConvexPolygon) -> str:
@@ -63,18 +56,10 @@ def _cert_json(cert) -> dict:
     tx, ty = cert.map.translation
     return {
         "matrix": [list(r1), list(r2)],
-        "translation": [_rat(tx), _rat(ty)],
+        "translation": [str(tx), str(ty)],
         "target": cert.target,
-        "dilate": _rat(cert.dilate),
+        "dilate": str(cert.dilate),
     }
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(_JOBS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,10 +74,10 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_invariants(args) -> int:
     rep = invariants(_read_polygon(args.file))
     _emit({
-        "width": _rat(rep.width),
-        "ls_square": _rat(rep.ls_square),
-        "ls_simplex": _rat(rep.ls_simplex),
-        "area": _rat(rep.area),
+        "width": str(rep.width),
+        "ls_square": str(rep.ls_square),
+        "ls_simplex": str(rep.ls_simplex),
+        "area": str(rep.area),
         "reduced_basis": {"u1": list(rep.basis.u1), "u2": list(rep.basis.u2)},
         "cert_square": _cert_json(rep.cert_square),
         "cert_simplex": _cert_json(rep.cert_simplex),
@@ -112,8 +97,8 @@ def _cmd_oracle(args) -> int:
         agree = searched == fast
         ok = ok and agree
         payload[target] = {
-            "fast": _rat(fast),
-            "search": _rat(searched),
+            "fast": str(fast),
+            "search": str(searched),
             "agree": agree,
         }
     payload["agree"] = ok
@@ -124,10 +109,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify_bounds(args) -> int:
     rep = check_bounds(_read_polygon(args.file))
     _emit({
-        "slack_wh": _rat(rep.slack_wh),
-        "slack_wl": _rat(rep.slack_wl),
-        "slack_simplex": None if rep.slack_simplex is None else _rat(rep.slack_simplex),
-        "slack_square": None if rep.slack_square is None else _rat(rep.slack_square),
+        "slack_wh": str(rep.slack_wh),
+        "slack_wl": str(rep.slack_wl),
+        "slack_simplex": None if rep.slack_simplex is None else str(rep.slack_simplex),
+        "slack_square": None if rep.slack_square is None else str(rep.slack_square),
         "equality_family": rep.equality_family.value if rep.equality_family else None,
     })
     slacks = (rep.slack_wh, rep.slack_wl, rep.slack_simplex, rep.slack_square)
@@ -188,12 +173,12 @@ def _check_corpus_polygon(P: ConvexPolygon) -> list[str]:
         got = brute_force_lattice_size(P, target)
         if got != fast:
             failures.append(
-                f"{where}: fast {target} size {_rat(fast)} != search {_rat(got)}")
+                f"{where}: fast {target} size {fast} != search {got}")
     b = check_bounds(P)
     for name, slack in (("wh", b.slack_wh), ("wl", b.slack_wl),
                         ("simplex", b.slack_simplex), ("square", b.slack_square)):
         if slack is not None and slack < 0:
-            failures.append(f"{where}: negative {name} slack {_rat(slack)}")
+            failures.append(f"{where}: negative {name} slack {slack}")
     simplex_families = (EqualityFamily.THIN_TRIANGLE, EqualityFamily.UNIT_SQUARE,
                         EqualityFamily.EXCEPTIONAL_TRIANGLE)
     if (b.slack_simplex == 0) != (b.equality_family in simplex_families):
@@ -203,38 +188,13 @@ def _check_corpus_polygon(P: ConvexPolygon) -> list[str]:
     return failures
 
 
-def _corpus_worker(payload):
-    batch = payload
-    failures = []
-    for vs in batch:
-        P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
-        failures.extend(_check_corpus_polygon(P))
-    return len(batch), failures
-
-
-def _batches(stream, size):
-    raw = (tuple((v.x, v.y) for v in P.vertices) for P in stream)
-    while True:
-        chunk = list(itertools.islice(raw, size))
-        if not chunk:
-            return
-        yield chunk
-
-
 def _cmd_corpus_check(args) -> int:
     stream = enumerate_convex(args.n, include_degenerate=False, limit=args.limit)
     count = 0
     failures: list[str] = []
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            for done, fails in pool.imap_unordered(_corpus_worker,
-                                                   _batches(stream, 256)):
-                count += done
-                failures.extend(fails)
-    else:
-        for P in stream:
-            count += 1
-            failures.extend(_check_corpus_polygon(P))
+    for fails in map_polygons(_check_corpus_polygon, stream, args.jobs):
+        count += 1
+        failures.extend(fails)
     classification = []
     for h in range(1, args.n + 1):
         report = verify_classification(h, limit=max(args.limit, args.n),
@@ -304,8 +264,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("generate", "verify"), required=True)
     p.add_argument("--limit", type=int, default=DEFAULT_CLASSIFY_LIMIT,
                    help="verification sweep guard (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help=f"worker processes (default ${_JOBS_ENV} or 1)")
+    p.add_argument("--jobs", type=int, default=os.environ.get(_JOBS_ENV, "1"),
+                   help="worker processes, capped at the CPU count "
+                        f"(default ${_JOBS_ENV} or 1)")
     p.set_defaults(func=_cmd_minimal)
 
     p = sub.add_parser("corpus-check",
@@ -313,8 +274,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--limit", type=int, default=DEFAULT_GRID_LIMIT,
                    help="grid-size guard (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help=f"worker processes (default ${_JOBS_ENV} or 1)")
+    p.add_argument("--jobs", type=int, default=os.environ.get(_JOBS_ENV, "1"),
+                   help="worker processes, capped at the CPU count "
+                        f"(default ${_JOBS_ENV} or 1)")
     p.set_defaults(func=_cmd_corpus_check)
 
     return parser

@@ -4,17 +4,22 @@ Chains of grid points whose edge directions strictly advance in angle,
 grown depth-first from each possible lexicographically smallest vertex,
 visit every strictly convex polygon exactly once, already in canonical
 vertex order.  Counts are cross-checked against subset brute force in
-the test suite.
+the test suite.  map_polygons runs a per-polygon function over such a
+stream, in this process or over a pool of worker processes.
 """
 from __future__ import annotations
 
-from typing import Iterator
+import itertools
+import multiprocessing
+import os
+from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidInputError
 from .geometry import ConvexPolygon, Point
 from .oracle import canonical_form
 
 DEFAULT_GRID_LIMIT = 5
+_BATCH = 256  # polygons per worker task when mapping over a pool
 
 
 def enumerate_convex(n: int, include_degenerate: bool = False,
@@ -90,3 +95,35 @@ def _distinct_classes(stream: Iterator[ConvexPolygon]) -> Iterator[ConvexPolygon
         if c not in seen:
             seen.add(c)
             yield c
+
+
+def map_polygons(fn: Callable[[ConvexPolygon], object],
+                 polygons: Iterable[ConvexPolygon], jobs: int) -> Iterator:
+    """fn(P) for every polygon of the stream, in stream order.
+
+    One job maps in this process.  More jobs, capped at the CPU count,
+    spread the stream over a process pool in batches of vertex tuples, so
+    fn must then be picklable (a module-level function or a partial of
+    one) and so must its results.
+    """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise InvalidInputError(f"worker count must be a positive integer, got {jobs!r}")
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs == 1:
+        return map(fn, polygons)
+    return _pooled(fn, iter(polygons), jobs)
+
+
+def _pooled(fn, polygons: Iterator[ConvexPolygon], jobs: int) -> Iterator:
+    # iter(f, []) calls f until it returns an empty batch
+    batches = iter(lambda: [tuple((v.x, v.y) for v in P.vertices)
+                            for P in itertools.islice(polygons, _BATCH)], [])
+    with multiprocessing.Pool(jobs) as pool:
+        for results in pool.imap(_map_batch, ((fn, batch) for batch in batches)):
+            yield from results
+
+
+def _map_batch(task) -> list:
+    fn, batch = task
+    return [fn(ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs)))
+            for vs in batch]

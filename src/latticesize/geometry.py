@@ -9,6 +9,7 @@ equality of polygons is therefore geometric equality.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Union
@@ -21,6 +22,10 @@ Target = Literal["square", "simplex"]
 
 SQUARE: Target = "square"
 SIMPLEX: Target = "simplex"
+
+# the coordinate grammar of the text format; [0-9] rather than \d keeps
+# out non-ASCII digits, which int() and Fraction() would accept
+_COORD = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _norm(value) -> Coord:
@@ -292,7 +297,7 @@ def parse_polygon_text(text: str) -> ConvexPolygon:
     """Read one 'x y' pair per line and hull the points.
 
     Blank lines are skipped and '#' starts a comment.  Coordinates are
-    integers or fractions like 7/3.
+    integers or fractions like 7/3 or -2/4: [+-]?[0-9]+(/[0-9]+)?.
     """
     pts: list[Point] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -302,6 +307,9 @@ def parse_polygon_text(text: str) -> ConvexPolygon:
         parts = line.split()
         if len(parts) != 2:
             raise InvalidInputError(f"line {lineno}: expected 'x y', got {line!r}")
+        for part in parts:
+            if not _COORD.fullmatch(part):
+                raise InvalidInputError(f"line {lineno}: bad coordinate {part!r}")
         try:
             pts.append(Point(Fraction(parts[0]), Fraction(parts[1])))
         except (ValueError, ZeroDivisionError) as exc:

@@ -12,21 +12,20 @@ claim against an exhaustive grid sweep.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .enumeration import enumerate_convex
+from .enumeration import enumerate_convex, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
-from .geometry import ConvexPolygon, Point, hull, width
+from .geometry import ConvexPolygon, hull, width
 from .oracle import canonical_form, is_minimal
 from .size import ls_square
 
 Kind = Literal["segment", "triangle", "quad"]
 
 DEFAULT_CLASSIFY_LIMIT = 5
-_BATCH = 512  # polygons per worker task when sweeping in parallel
 
 
 def _check_params(h: int, params: tuple[int, ...]) -> None:
@@ -168,25 +167,6 @@ def _sweep_one(h: int, P: ConvexPolygon) -> ConvexPolygon | None:
     return canonical_form(P)
 
 
-def _sweep_batch(payload) -> list[tuple]:
-    h, batch = payload
-    out = []
-    for vs in batch:
-        poly = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
-        c = _sweep_one(h, poly)
-        if c is not None:
-            out.append(tuple((v.x, v.y) for v in c.vertices))
-    return out
-
-
-def _batched(items: Iterator, size: int) -> Iterator[list]:
-    while True:
-        chunk = list(itertools.islice(items, size))
-        if not chunk:
-            return
-        yield chunk
-
-
 def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
                           jobs: int = 1) -> ClassificationReport:
     """Compare the generated classes with an exhaustive minimality sweep.
@@ -195,8 +175,8 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     inside the corner square of side h, so sweeping the full grid
     {0..h}^2 (degenerate members included) meets each class at least
     once.  The sweep cost grows quickly with h, hence the guard; raise
-    the limit explicitly for a longer run, and pass jobs > 1 to spread
-    the sweep over worker processes.
+    the limit explicitly for a longer run, and pass several jobs to spread
+    the sweep over worker processes (see map_polygons).
     """
     if not isinstance(h, int) or h < 1:
         raise InvalidInputError(f"square size must be a positive integer, got {h!r}")
@@ -204,21 +184,9 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
         raise ResourceLimitError(
             f"classification sweep for h={h} exceeds the limit {limit}; "
             "pass a larger limit to run it anyway")
-    found: set[ConvexPolygon] = set()
     stream = enumerate_convex(h, include_degenerate=True, limit=h)
-    if jobs > 1:
-        raw = (tuple((v.x, v.y) for v in P.vertices) for P in stream)
-        tasks = ((h, batch) for batch in _batched(raw, _BATCH))
-        with multiprocessing.Pool(jobs) as pool:
-            for result in pool.imap_unordered(_sweep_batch, tasks):
-                for vs in result:
-                    found.add(ConvexPolygon._trusted(
-                        tuple(Point(x, y) for x, y in vs)))
-    else:
-        for P in stream:
-            c = _sweep_one(h, P)
-            if c is not None:
-                found.add(c)
+    found = set(map_polygons(functools.partial(_sweep_one, h), stream, jobs))
+    found.discard(None)
     family = tuple(generate_minimal(h))
     search = tuple(sorted(found, key=_class_key))
     family_set = set(family)

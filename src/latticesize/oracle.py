@@ -24,28 +24,29 @@ from .geometry import (
     hull,
     width,
 )
-from .reduction import gauss_reduce
-from .size import invariants, ls_square
+from .reduction import LatticeBasis, gauss_reduce
+from .size import flip_dilates, invariants, ls_square
 
 
-def candidate_directions(P: ConvexPolygon, cap) -> list[IntVec]:
+def candidate_directions(P: ConvexPolygon, cap, basis: LatticeBasis) -> list[IntVec]:
     """All primitive directions of width at most cap, up to sign.
 
     Representatives have positive first coordinate, or a zero first and
-    positive second.  The scan runs in the width-reduced frame, where the
-    axis widths are as small as any basis allows, and maps hits back
-    through the transpose; that keeps the search bounded by the shape's
-    intrinsic widths rather than whatever skewed coordinates it arrived
-    in.  Square shells are scanned outward; widths are positively
-    homogeneous along rays and change by at most one axis width per unit
-    step along a shell, so once the narrowest integer point of a shell
-    clears cap by that slack nothing further qualifies.
+    positive second.  The scan runs in the frame of basis and maps hits
+    back through the transpose.  Square shells are scanned outward;
+    widths are positively homogeneous along rays and change by at most
+    one axis width per unit step along a shell, so once the narrowest
+    integer point of a shell clears cap by that slack nothing further
+    qualifies.  That argument holds in any unimodular frame; a
+    width-reduced basis (gauss_reduce) only keeps the scan short, since
+    its axis widths are as small as any basis allows, which bounds the
+    search by the shape's intrinsic widths rather than whatever skewed
+    coordinates it arrived in.
     """
     if P.dim != 2:
         raise DegenerateInputError("direction enumeration needs a full-dimensional polygon")
     if cap < 0:
         raise InvalidInputError("cap must be nonnegative")
-    basis = gauss_reduce(P)
     dots1 = [basis.u1[0] * v.x + basis.u1[1] * v.y for v in P.vertices]
     dots2 = [basis.u2[0] * v.x + basis.u2[1] * v.y for v in P.vertices]
 
@@ -90,7 +91,8 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
 
     Independent of the reduced-basis shortcut except for using its
     certificate dilate as the search cap, which only ever widens the
-    search beyond what the optimum needs.
+    search beyond what the optimum needs, and its basis as the frame of
+    the direction scan, which any unimodular frame would do as well.
     """
     if P.dim != 2:
         raise DegenerateInputError("exhaustive search needs a full-dimensional polygon")
@@ -98,7 +100,7 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
         raise InvalidInputError(f"unknown target {target!r}")
     report = invariants(P)
     cap = report.ls_square if target == SQUARE else report.ls_simplex
-    dirs = candidate_directions(P, cap)
+    dirs = candidate_directions(P, cap, report.basis)
     dots = {u: [u[0] * v.x + u[1] * v.y for v in P.vertices] for u in dirs}
     spread = {u: max(d) - min(d) for u, d in dots.items()}
     best = None
@@ -109,25 +111,18 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
             if target == SQUARE:
                 value = max(spread[u], spread[v])
             else:
-                du, dv = dots[u], dots[v]
-                sums = [a + b for a, b in zip(du, dv)]
-                difs = [a - b for a, b in zip(du, dv)]
-                value = min(
-                    max(sums) - min(du) - min(dv),
-                    max(du) + max(dv) - min(sums),
-                    max(dv) - min(du) + max(difs),
-                    max(du) - min(dv) - min(difs),
-                )
+                value = min(flip_dilates(dots[u], dots[v]))
             if best is None or value < best:
                 best = value
     assert best is not None  # the reduced basis itself is always searched
     return best
 
 
-def _normalized_images(P: ConvexPolygon, side) -> list[tuple[Point, ...]]:
+def _normalized_images(P: ConvexPolygon, side,
+                       basis: LatticeBasis) -> list[tuple[Point, ...]]:
     """Vertex tuples of every unimodular image of P inside the side-sized
     corner square, translated so both coordinate minima are zero."""
-    dirs = candidate_directions(P, side)
+    dirs = candidate_directions(P, side, basis)
     dots = {u: [u[0] * v.x + u[1] * v.y for v in P.vertices] for u in dirs}
     narrow = [u for u in dirs if max(dots[u]) - min(dots[u]) <= side]
     images = []
@@ -161,8 +156,9 @@ def canonical_form(P: ConvexPolygon) -> ConvexPolygon:
         # segment from the origin is the lexicographic minimum
         length = ls_square(P)
         return hull([Point(0, 0), Point(0, length)])
-    side = ls_square(P)
-    best = min(_normalized_images(P, side))
+    basis = gauss_reduce(P)
+    side = width(P, basis.u2)
+    best = min(_normalized_images(P, side, basis))
     return ConvexPolygon._trusted(best)
 
 

@@ -26,14 +26,8 @@ from .geometry import (
 )
 from .reduction import LatticeBasis, gauss_reduce
 
-# sign flips paired with the translation that moves the flipped minima to
-# the origin, indexed like the four dilate formulas below
-_FLIPS = (
-    ((1, 0), (0, 1)),
-    ((-1, 0), (0, -1)),
-    ((1, 0), (0, -1)),
-    ((-1, 0), (0, 1)),
-)
+# axis signs (x, y) of the four flips, in the order of flip_dilates
+_FLIPS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,22 +53,26 @@ class InvariantsReport:
     cert_simplex: ContainmentCertificate
 
 
-def simplex_dilates(P: ConvexPolygon) -> tuple[Coord, Coord, Coord, Coord]:
-    """Smallest triangle dilates containing P after each axis sign flip.
+def flip_dilates(xs: list[Coord], ys: list[Coord]) -> tuple[Coord, Coord, Coord, Coord]:
+    """Smallest triangle dilates containing the points (xs[i], ys[i]) after
+    each axis sign flip: identity, both axes flipped, y flipped, x flipped.
 
-    Translations are unconstrained, so each value reads off the vertex
-    extremes: identity, both axes flipped, y flipped, x flipped.
+    Translations are unconstrained, so each value reads off the extremes.
     """
-    xs = [v.x for v in P.vertices]
-    ys = [v.y for v in P.vertices]
-    sums = [v.x + v.y for v in P.vertices]
-    difs = [v.x - v.y for v in P.vertices]
+    sums = [x + y for x, y in zip(xs, ys)]
+    difs = [x - y for x, y in zip(xs, ys)]
     return (
         max(sums) - min(xs) - min(ys),
         max(xs) + max(ys) - min(sums),
         max(ys) - min(xs) + max(difs),
         max(xs) - min(ys) - min(difs),
     )
+
+
+def simplex_dilates(P: ConvexPolygon) -> tuple[Coord, Coord, Coord, Coord]:
+    """Smallest triangle dilates containing P after each axis sign flip,
+    in the order of flip_dilates."""
+    return flip_dilates([v.x for v in P.vertices], [v.y for v in P.vertices])
 
 
 def lattice_width(P: ConvexPolygon) -> Coord:
@@ -117,7 +115,7 @@ def invariants(P: ConvexPolygon) -> InvariantsReport:
     dilates = simplex_dilates(Q)
     best = min(dilates)
     which = dilates.index(best)
-    (sx, _), (_, sy) = _FLIPS[which]
+    sx, sy = _FLIPS[which]
     (r1a, r1b), (r2a, r2b) = reduce_map.matrix
     flipped = ((sx * r1a, sx * r1b), (sy * r2a, sy * r2b))
     shift = (-min_x if sx > 0 else max_x, -min_y if sy > 0 else max_y)

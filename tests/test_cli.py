@@ -217,6 +217,22 @@ class TestCorpusCheck:
         assert r.returncode == 0
         assert json.loads(r.stdout)["ok"] is True
 
+    def test_pool_output_matches_serial(self):
+        serial = run("corpus-check", "--n", "2", "--jobs", "1")
+        pooled = run("corpus-check", "--n", "2", "--jobs", "2")
+        assert serial.returncode == pooled.returncode == 0
+        assert pooled.stdout == serial.stdout
+
+    @pytest.mark.parametrize("flag, env", [
+        ("0", {}), ("-3", {}), ("abc", {}),
+        (None, {"LATTICESIZE_JOBS": "0"}), (None, {"LATTICESIZE_JOBS": "abc"}),
+    ])
+    def test_bad_jobs_rejected(self, flag, env):
+        args = ["corpus-check", "--n", "1"] + (["--jobs", flag] if flag else [])
+        r = run(*args, env=env)
+        assert r.returncode == 1
+        assert "error" in r.stderr and "Traceback" not in r.stderr
+
 
 class TestExitCodes:
     def test_grid_too_big_is_bad_input(self):
@@ -231,6 +247,9 @@ class TestExitCodes:
     def test_malformed_polygon(self):
         r = run("invariants", "-", stdin="bad line\n")
         assert r.returncode == 1
+        r = run("invariants", "-", stdin="0 0\n1e200000 1\n0 1\n")
+        assert r.returncode == 1
+        assert "bad coordinate" in r.stderr
 
     def test_unknown_subcommand(self):
         assert run("frobnicate").returncode == 1

@@ -1,16 +1,20 @@
 import itertools
+import multiprocessing
+import os
 
 import pytest
 
 from latticesize import (
     ConvexPolygon,
     InvalidInputError,
+    area,
     canonical_form,
     enumerate_classes,
     enumerate_convex,
     hull,
     ls_square,
 )
+from latticesize.enumeration import map_polygons
 
 
 class TestCounts:
@@ -102,3 +106,38 @@ class TestGuards:
         stream = enumerate_convex(6, limit=6)
         first = next(iter(stream))
         assert ConvexPolygon(first.vertices) == first
+
+
+class TestMapPolygons:
+    def test_serial_and_pooled_agree(self):
+        polys = list(enumerate_convex(2))
+        want = [area(P) for P in polys]
+        assert list(map_polygons(area, polys, 1)) == want
+        assert list(map_polygons(area, iter(polys), 2)) == want
+
+    @pytest.mark.parametrize("jobs", [0, -1, "2", 1.5, None])
+    def test_bad_worker_count_rejected(self, jobs):
+        with pytest.raises(InvalidInputError):
+            map_polygons(area, [], jobs)
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        polys = list(enumerate_convex(1))
+        assert list(map_polygons(area, polys, 10**6)) == [area(P) for P in polys]
+        assert sizes == [2]

@@ -312,6 +312,7 @@ class TestTextFormat:
         0 1
         """
         assert parse_polygon_text(text) == hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert parse_polygon_text("7/3 -2/4\n") == hull([(Fraction(7, 3), Fraction(-1, 2))])
 
     def test_bad_lines(self):
         with pytest.raises(InvalidInputError):
@@ -320,5 +321,9 @@ class TestTextFormat:
             parse_polygon_text("a b\n")
         with pytest.raises(InvalidInputError):
             parse_polygon_text("1/0 2\n")
+        # outside [+-]?[0-9]+(/[0-9]+)?, though Fraction() would take them
+        for token in ("1e200000", "1.5", "1_000", "\u0661/\u0663"):
+            with pytest.raises(InvalidInputError):
+                parse_polygon_text(f"0 {token}\n")
         with pytest.raises(InvalidInputError):
             parse_polygon_text("# nothing\n")

@@ -13,11 +13,11 @@ from latticesize import (
     ls_square,
     minimal_families,
     quad_minimal,
-    quad_reflect_params,
     realize,
     triangle_minimal,
     verify_classification,
 )
+from latticesize.minimal import quad_reflect_params
 
 
 class TestRealize:
@@ -165,3 +165,5 @@ class TestVerification:
             verify_classification(9)
         with pytest.raises(InvalidInputError):
             verify_classification(0)
+        with pytest.raises(InvalidInputError):
+            verify_classification(1, jobs=0)

@@ -4,16 +4,19 @@ from math import gcd
 
 import pytest
 
+import latticesize.oracle
+import latticesize.size
 from latticesize import (
     SIMPLEX,
     SQUARE,
     DegenerateInputError,
     InvalidInputError,
+    LatticeBasis,
     apply_map,
     brute_force_lattice_size,
-    candidate_directions,
     canonical_form,
     enumerate_convex,
+    gauss_reduce,
     hull,
     invariants,
     is_minimal,
@@ -22,6 +25,7 @@ from latticesize import (
     ls_square,
     width,
 )
+from latticesize.oracle import candidate_directions
 from conftest import random_lattice_polygon, random_unimodular
 
 tri = hull([(0, 0), (1, 2), (2, 1)])
@@ -29,24 +33,39 @@ pentagon = hull([(4, 0), (5, 0), (2, 2), (0, 3), (1, 2)])
 quad = hull([(0, 0), (0, 3), (2, 2), (1, 3)])
 
 
+def reduced_directions(P, cap):
+    return candidate_directions(P, cap, gauss_reduce(P))
+
+
 class TestCandidateDirections:
     def test_short_triangle(self):
-        assert candidate_directions(tri, 2) == [(0, 1), (1, -1), (1, 0)]
+        assert reduced_directions(tri, 2) == [(0, 1), (1, -1), (1, 0)]
 
     def test_unit_square(self):
         square = hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert candidate_directions(square, 1) == [(0, 1), (1, 0)]
+        assert reduced_directions(square, 1) == [(0, 1), (1, 0)]
 
     def test_zero_cap(self):
-        assert candidate_directions(tri, 0) == []
+        assert reduced_directions(tri, 0) == []
 
     def test_degenerate_rejected(self):
+        seg = hull([(0, 0), (3, 0)])
         with pytest.raises(DegenerateInputError):
-            candidate_directions(hull([(0, 0), (3, 0)]), 2)
+            candidate_directions(seg, 2, gauss_reduce(seg))
 
     def test_negative_cap_rejected(self):
         with pytest.raises(InvalidInputError):
-            candidate_directions(tri, -1)
+            reduced_directions(tri, -1)
+
+    def test_any_frame(self):
+        # the shell-stopping argument holds in every unimodular frame; the
+        # reduced one only shortens the scan
+        identity = LatticeBasis((1, 0), (0, 1))
+        for P in enumerate_convex(3):
+            basis = gauss_reduce(P)
+            for cap in range(5):
+                assert (candidate_directions(P, cap, identity)
+                        == candidate_directions(P, cap, basis))
 
     def test_matches_box_scan(self):
         # an oversized direct scan must find exactly the same directions
@@ -56,9 +75,30 @@ class TestCandidateDirections:
         for _ in range(30):
             P = random_lattice_polygon(rng)
             cap = invariants(P).ls_square
-            found = candidate_directions(P, cap)
+            found = reduced_directions(P, cap)
             assert all(max(abs(a), abs(b)) <= 12 for a, b in found)
             assert set(found) == {u for u in box if width(P, u) <= cap}
+
+
+class TestOneReduction:
+    @pytest.mark.parametrize("query", [
+        invariants,
+        lambda P: brute_force_lattice_size(P, SQUARE),
+        lambda P: brute_force_lattice_size(P, SIMPLEX),
+        canonical_form,
+    ], ids=["invariants", "brute-square", "brute-simplex", "canonical"])
+    def test_reduces_once(self, monkeypatch, query):
+        polygons = []
+
+        def counted(P):
+            polygons.append(P)
+            return gauss_reduce(P)
+
+        for module in (latticesize.size, latticesize.oracle):
+            monkeypatch.setattr(module, "gauss_reduce", counted)
+        for P in (pentagon, quad):
+            query(P)
+        assert polygons == [pentagon, quad]
 
 
 class TestBruteForce:

@@ -6,12 +6,11 @@ from latticesize import (
     InvalidInputError,
     LatticeBasis,
     apply_map,
-    argmin_shift,
     gauss_reduce,
     hull,
-    is_reduced,
     width,
 )
+from latticesize.reduction import argmin_shift, is_reduced
 from conftest import random_lattice_polygon, random_unimodular
 
 quad = hull([(0, 0), (0, 3), (2, 2), (1, 3)])
