@@ -62,6 +62,27 @@ def _cert_json(cert) -> dict:
     }
 
 
+def _jobs(args) -> int:
+    """The --jobs value, else $LATTICESIZE_JOBS, else 1; read only by
+    commands that map over workers."""
+    if args.jobs is not None:
+        return args.jobs
+    raw = os.environ.get(_JOBS_ENV, "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise InvalidInputError(f"{_JOBS_ENV} must be a positive integer, got {raw!r}")
+    return jobs
+
+
+def _add_jobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes, capped at the CPU count "
+                        f"(default ${_JOBS_ENV} or 1)")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; this contract reserves 2 for
     verification failures, so usage errors are remapped to 1."""
@@ -152,7 +173,7 @@ def _cmd_minimal(args) -> int:
         for P in generate_minimal(args.h):
             print(_poly_line(P))
         return 0
-    report = verify_classification(args.h, limit=args.limit, jobs=args.jobs)
+    report = verify_classification(args.h, limit=args.limit, jobs=_jobs(args))
     _emit({
         "h": report.h,
         "classes": len(report.search_classes),
@@ -189,16 +210,17 @@ def _check_corpus_polygon(P: ConvexPolygon) -> list[str]:
 
 
 def _cmd_corpus_check(args) -> int:
+    jobs = _jobs(args)
     stream = enumerate_convex(args.n, include_degenerate=False, limit=args.limit)
     count = 0
     failures: list[str] = []
-    for fails in map_polygons(_check_corpus_polygon, stream, args.jobs):
+    for fails in map_polygons(_check_corpus_polygon, stream, jobs):
         count += 1
         failures.extend(fails)
     classification = []
     for h in range(1, args.n + 1):
         report = verify_classification(h, limit=max(args.limit, args.n),
-                                       jobs=args.jobs)
+                                       jobs=jobs)
         classification.append({
             "h": h,
             "classes": len(report.search_classes),
@@ -264,9 +286,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("generate", "verify"), required=True)
     p.add_argument("--limit", type=int, default=DEFAULT_CLASSIFY_LIMIT,
                    help="verification sweep guard (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=os.environ.get(_JOBS_ENV, "1"),
-                   help="worker processes, capped at the CPU count "
-                        f"(default ${_JOBS_ENV} or 1)")
+    _add_jobs(p)
     p.set_defaults(func=_cmd_minimal)
 
     p = sub.add_parser("corpus-check",
@@ -274,9 +294,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--limit", type=int, default=DEFAULT_GRID_LIMIT,
                    help="grid-size guard (default %(default)s)")
-    p.add_argument("--jobs", type=int, default=os.environ.get(_JOBS_ENV, "1"),
-                   help="worker processes, capped at the CPU count "
-                        f"(default ${_JOBS_ENV} or 1)")
+    _add_jobs(p)
     p.set_defaults(func=_cmd_corpus_check)
 
     return parser

@@ -37,45 +37,69 @@ def enumerate_convex(n: int, include_degenerate: bool = False,
             for chain in _chains(n, include_degenerate))
 
 
-def _chains(n: int, include_degenerate: bool) -> Iterator[tuple]:
+def enumerate_anchored(n: int) -> Iterator[ConvexPolygon]:
+    """The members of enumerate_convex(n, include_degenerate=True) whose
+    coordinate minima are both 0, in the same order.
+
+    Such a polygon starts at a vertex in the column x = 0, so only chains
+    from there are grown, and those whose smallest y is not 0 are skipped.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise InvalidInputError(f"grid size must be a positive integer, got {n!r}")
+    return (ConvexPolygon._trusted(tuple(Point(x, y) for x, y in chain))
+            for chain in _chains(n, True, n + 1) if min(y for _, y in chain) == 0)
+
+
+def _chains(n: int, include_degenerate: bool, starts: int | None = None) -> Iterator[tuple]:
+    """Chains from each of the first `starts` grid points in x-major order
+    (all of them by default) as their lexicographically smallest vertex."""
     grid = [(x, y) for x in range(n + 1) for y in range(n + 1)]
-    for i, v0 in enumerate(grid):
+    for i, v0 in enumerate(grid[:starts]):
         if include_degenerate:
             yield (v0,)
         pool = grid[i + 1:]
         if include_degenerate:
             for w in pool:
                 yield (v0, w)
-        yield from _grow(v0, [v0], None, pool)
+        for w in pool:
+            yield from _grow(v0, [v0, w], pool)
 
 
-def _grow(v0, chain, last, pool) -> Iterator[tuple]:
-    """Extend a convex chain by one grid point in all valid ways."""
+def _grow(v0, chain, pool) -> Iterator[tuple]:
+    """Extend a chain of two or more grid points, v0 first, by one more
+    point in all valid ways, yielding each polygon so made.
+
+    A point w after the last point c is kept when the edge angles advance
+    (a strict left turn at c, and no falling back from the edges heading
+    backward, lexicographically, to those heading forward), when w lies
+    strictly left of the first edge and when v0 lies strictly left of the
+    edge c -> w.  Every strictly convex polygon passes these at each of
+    its vertices in turn, so none is lost.  The last two are the left
+    turns at v0 and at w of the chain closed back to v0, so a kept chain,
+    closed, turns left everywhere, and as its edge angles advance through
+    less than a full turn before the closing edge it winds once: it is a
+    strictly convex polygon, yielded at once.  No point repeats: w = c
+    makes no turn, and an earlier vertex w of that polygon has v0 on its
+    arc from c to w, so v0 lies strictly right of c -> w.
+    """
     x0, y0 = v0
-    cx, cy = chain[-1]
+    fx, fy = chain[1][0] - x0, chain[1][1] - y0
+    (bx, by), (cx, cy) = chain[-2], chain[-1]
+    lx, ly = cx - bx, cy - by
+    gx, gy = x0 - cx, y0 - cy
+    last_backward = not (lx > 0 or (lx == 0 and ly > 0))
     for w in pool:
-        if w in chain:
+        wx, wy = w
+        ex, ey = wx - cx, wy - cy
+        if (lx * ey - ly * ex <= 0
+                or (last_backward and (ex > 0 or (ex == 0 and ey > 0)))
+                or fx * (wy - y0) - fy * (wx - x0) <= 0
+                or ex * gy - ey * gx <= 0):
             continue
-        ex, ey = w[0] - cx, w[1] - cy
-        if last is not None:
-            # edge angles must advance: no falling back from the lower
-            # half-turn to the upper, and always a strict left turn
-            if _group(*last) > _group(ex, ey) or last[0] * ey - last[1] * ex <= 0:
-                continue
-        if len(chain) >= 2:
-            fx, fy = chain[1][0] - x0, chain[1][1] - y0
-            gx, gy = x0 - w[0], y0 - w[1]
-            if (_group(ex, ey) <= _group(gx, gy)
-                    and ex * gy - ey * gx > 0
-                    and gx * fy - gy * fx > 0):
-                yield (*chain, w)
+        yield (*chain, w)
         chain.append(w)
-        yield from _grow(v0, chain, (ex, ey), pool)
+        yield from _grow(v0, chain, pool)
         chain.pop()
-
-
-def _group(dx, dy) -> int:
-    return 0 if dx > 0 or (dx == 0 and dy > 0) else 1
 
 
 def enumerate_classes(n: int, include_degenerate: bool = False,

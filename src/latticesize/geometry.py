@@ -236,12 +236,16 @@ def apply_map(phi: UnimodularMap, P: ConvexPolygon) -> ConvexPolygon:
 def lattice_points(P: ConvexPolygon) -> list[Point]:
     """All integer points inside or on P, sorted lexicographically.
 
-    Scans bounding-box rows and intersects each row with the edges
-    exactly, so rational vertices are handled without rounding.
+    A lattice polygon is scanned in integers, column by column (see
+    _integral_points).  Any other polygon scans bounding-box rows and
+    intersects each row with the edges exactly, so rational vertices are
+    handled without rounding.
     """
     vs = P.vertices
+    if P.is_lattice:
+        return _integral_points(vs)
     if len(vs) == 1:
-        return [vs[0]] if vs[0].is_lattice else []
+        return []
     n = len(vs)
     edges = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
     if n == 2:
@@ -267,14 +271,83 @@ def lattice_points(P: ConvexPolygon) -> list[Point]:
     return out
 
 
+def _integral_points(vs: tuple[Point, ...]) -> list[Point]:
+    """lattice_points of a lattice polygon with canonical vertices vs.
+
+    A segment steps by its primitive direction.  A polygon's lower chain
+    runs from vs[0] along the edges heading right and its upper chain
+    from the top-left vertex back along the edges heading left; both
+    span every column from the smallest x to the largest, and a column's
+    points are those between the ceiling of the lower chain and the floor
+    of the upper one.  Columns ascend and each column ascends, so the
+    output is sorted as it is made.
+    """
+    n = len(vs)
+    if n == 1:
+        return [vs[0]]
+    if n == 2:
+        a, b = vs
+        dx, dy = b.x - a.x, b.y - a.y
+        g = math.gcd(dx, dy)
+        return [_point(a.x + i * dx // g, a.y + i * dy // g) for i in range(g + 1)]
+    lower = [vs[0]]
+    for v in vs[1:]:
+        if v.x <= lower[-1].x:
+            break
+        lower.append(v)
+    # the top-left vertex is vs[-1] when a vertical edge runs down to vs[0]
+    top = n - 1 if vs[-1].x == vs[0].x else n
+    upper = [vs[top % n]]
+    for v in reversed(vs[:top]):
+        if v.x <= upper[-1].x:
+            break
+        upper.append(v)
+    out: list[Point] = []
+    li = ui = 0
+    for x in range(vs[0].x, lower[-1].x + 1):
+        while lower[li + 1].x < x:
+            li += 1
+        while upper[ui + 1].x < x:
+            ui += 1
+        a, b = lower[li], lower[li + 1]
+        c, d = upper[ui], upper[ui + 1]
+        # ceiling and floor of the two chains' heights at x, in integers
+        lo = -(((b.y - a.y) * (a.x - x) - a.y * (b.x - a.x)) // (b.x - a.x))
+        hi = (c.y * (d.x - c.x) + (d.y - c.y) * (x - c.x)) // (d.x - c.x)
+        out.extend(_point(x, y) for y in range(lo, hi + 1))
+    return out
+
+
+def _point(x: int, y: int) -> Point:
+    # internal fast path for integer coordinates, which need no coercion
+    p = object.__new__(Point)
+    object.__setattr__(p, "x", x)
+    object.__setattr__(p, "y", y)
+    return p
+
+
 def drop_vertex(P: ConvexPolygon, v: Point) -> ConvexPolygon:
-    """Hull of P's lattice points with the vertex v removed."""
+    """Hull of P's lattice points with the vertex v removed.
+
+    P is the union of the triangle T on v and its two neighbours and the
+    hull of its other vertices, so every lattice point of P other than v
+    lies in T or in that hull: the other vertices together with T's
+    lattice points span the same hull, and only T is scanned.
+    """
     if not P.is_lattice:
         raise InvalidInputError("drop_vertex needs a lattice polygon")
     v = _as_point(v)
-    if v not in P.vertices:
+    vs = P.vertices
+    if v not in vs:
         raise InvalidInputError(f"({v.x}, {v.y}) is not a vertex")
-    rest = [p for p in lattice_points(P) if p != v]
+    if len(vs) <= 3:
+        near = lattice_points(P)   # T is P itself, or P is a segment
+    else:
+        i = vs.index(v)
+        tri = (vs[i - 1], v, vs[(i + 1) % len(vs)])
+        k = min(range(3), key=lambda j: (tri[j].x, tri[j].y))
+        near = lattice_points(ConvexPolygon._trusted(tri[k:] + tri[:k])) + list(vs)
+    rest = [p for p in near if p != v]
     if not rest:
         raise InvalidInputError("dropping the only lattice point leaves nothing")
     return hull(rest)

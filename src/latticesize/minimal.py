@@ -17,11 +17,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .enumeration import enumerate_convex, map_polygons
+from .enumeration import enumerate_anchored, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import ConvexPolygon, hull, width
 from .oracle import canonical_form, is_minimal
-from .size import ls_square
 
 Kind = Literal["segment", "triangle", "quad"]
 
@@ -162,9 +161,14 @@ def _sweep_one(h: int, P: ConvexPolygon) -> ConvexPolygon | None:
     # the square size never exceeds the larger axis span
     if max(width(P, (1, 0)), width(P, (0, 1))) < h:
         return None
-    if ls_square(P) != h or not is_minimal(P):
+    if not is_minimal(P):
         return None
-    return canonical_form(P)
+    # a canonical form has both coordinate minima 0 and fits the corner
+    # square of side ls_square(P) but no smaller one, so its largest
+    # coordinate is the square size: no second ls_square beside the one
+    # inside is_minimal
+    C = canonical_form(P)
+    return C if max(max(v.x, v.y) for v in C.vertices) == h else None
 
 
 def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
@@ -174,9 +178,15 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     Every equivalence class of square size h has its canonical form
     inside the corner square of side h, so sweeping the full grid
     {0..h}^2 (degenerate members included) meets each class at least
-    once.  The sweep cost grows quickly with h, hence the guard; raise
-    the limit explicitly for a longer run, and pass several jobs to spread
-    the sweep over worker processes (see map_polygons).
+    once.  A canonical form also has both coordinate minima 0, so the
+    sweep keeps only the grid's polygons whose lexicographically smallest
+    vertex lies in the column x = 0 and whose smallest y is 0
+    (enumerate_anchored): each class still meets it through its canonical
+    form, and every polygon it meets gets the same test, so the class
+    set is the full grid's.  The sweep cost grows quickly with h, hence
+    the guard; raise the limit explicitly for a longer run, and pass
+    several jobs to spread the sweep over worker processes (see
+    map_polygons).
     """
     if not isinstance(h, int) or h < 1:
         raise InvalidInputError(f"square size must be a positive integer, got {h!r}")
@@ -184,7 +194,7 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
         raise ResourceLimitError(
             f"classification sweep for h={h} exceeds the limit {limit}; "
             "pass a larger limit to run it anyway")
-    stream = enumerate_convex(h, include_degenerate=True, limit=h)
+    stream = enumerate_anchored(h)
     found = set(map_polygons(functools.partial(_sweep_one, h), stream, jobs))
     found.discard(None)
     family = tuple(generate_minimal(h))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .geometry import ConvexPolygon, IntVec, width
+from .geometry import ConvexPolygon, Coord, IntVec, width
 
 _MAX_ROUNDS = 10_000  # widths decrease strictly on swap; never reached
 
@@ -40,31 +40,48 @@ def _check_unimodular(u1: IntVec, u2: IntVec) -> None:
 
 
 def argmin_shift(P: ConvexPolygon, u1: IntVec, u2: IntVec) -> int:
-    """Integer k minimizing width(P, u2 + k*u1).
+    """Integer k minimizing width(P, u2 + k*u1), the one nearest zero.
 
-    Width along the line of directions u2 + k*u1 is convex in k, so a
-    walk from 0 that moves only while the value strictly drops finds the
-    minimizer nearest zero; on a two-sided tie it returns 0.
+    Width along the line of directions u2 + k*u1 is a maximum minus a
+    minimum of functions linear in k, hence convex in k.  So it drops
+    from k = 0 in at most one direction: k = 1 is tried first and k = -1
+    only when that does not drop, and if neither drops the answer is 0.
+    Along the dropping direction the steps w(j+1) - w(j) never decrease,
+    and the answer is the first j whose step does not drop: j = 1 is
+    tested first, then j doubles until such a step turns up, then a
+    bisection on the sign of the step finds the first.  Widths are
+    computed once per k, O(log |k|) of them in all, and a shift of 0 or
+    +-1 costs at most 4.
     """
     _check_unimodular(u1, u2)
+    widths: dict[int, Coord] = {}
 
-    def shifted(k: int):
-        return width(P, (u2[0] + k * u1[0], u2[1] + k * u1[1]))
+    def shifted(k: int) -> Coord:
+        if k not in widths:
+            widths[k] = width(P, (u2[0] + k * u1[0], u2[1] + k * u1[1]))
+        return widths[k]
 
-    w0 = shifted(0)
-    wp = shifted(1)
-    wm = shifted(-1)
-    if w0 <= wp and w0 <= wm:
+    if shifted(1) < shifted(0):
+        sign = 1
+    elif shifted(-1) < shifted(0):
+        sign = -1
+    else:
         return 0
-    # convexity rules out both neighbors improving at once
-    step, best = (1, wp) if wp < w0 else (-1, wm)
-    k = step
-    while True:
-        nxt = shifted(k + step)
-        if nxt >= best:
-            return k
-        k += step
-        best = nxt
+
+    def stops(j: int) -> bool:
+        # the step from sign*j to sign*(j+1) does not drop
+        return shifted(sign * (j + 1)) >= shifted(sign * j)
+
+    lo, hi = 0, 1   # stops(lo) is false
+    while not stops(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stops(mid):
+            hi = mid
+        else:
+            lo = mid
+    return sign * hi
 
 
 def gauss_reduce(P: ConvexPolygon) -> LatticeBasis:

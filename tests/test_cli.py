@@ -234,6 +234,32 @@ class TestCorpusCheck:
         assert "error" in r.stderr and "Traceback" not in r.stderr
 
 
+class TestJobsVariable:
+    """$LATTICESIZE_JOBS is read only by commands that use workers; none
+    of these values starts a pool."""
+
+    def test_ignored_when_no_workers_run(self):
+        r = run("minimal", "--h", "2", "--mode", "generate",
+                env={"LATTICESIZE_JOBS": "abc"})
+        assert r.returncode == 0
+        assert r.stdout == "0,0;0,2\n0,0;2,1;1,2\n"
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_value_named_on_verify(self, value):
+        r = run("minimal", "--h", "2", "--mode", "verify",
+                env={"LATTICESIZE_JOBS": value})
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "LATTICESIZE_JOBS" in r.stderr and "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_value_named_on_corpus_check(self, value):
+        r = run("corpus-check", "--n", "1", env={"LATTICESIZE_JOBS": value})
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "LATTICESIZE_JOBS" in r.stderr and "Traceback" not in r.stderr
+
+
 class TestExitCodes:
     def test_grid_too_big_is_bad_input(self):
         r = run("enumerate", "--n", "9")

@@ -14,7 +14,7 @@ from latticesize import (
     hull,
     ls_square,
 )
-from latticesize.enumeration import map_polygons
+from latticesize.enumeration import enumerate_anchored, map_polygons
 
 
 class TestCounts:
@@ -72,6 +72,62 @@ class TestExhaustiveness:
 
     def test_square_size_bounded_by_grid(self, corpus3):
         assert all(ls_square(P) <= 3 for P in corpus3)
+
+
+def _reference_chains(n):
+    """The earlier chain generator, kept verbatim as the reference for the
+    output order: no pruning, a linear membership test per candidate."""
+    def group(dx, dy):
+        return 0 if dx > 0 or (dx == 0 and dy > 0) else 1
+
+    def grow(v0, chain, last, pool):
+        x0, y0 = v0
+        cx, cy = chain[-1]
+        for w in pool:
+            if w in chain:
+                continue
+            ex, ey = w[0] - cx, w[1] - cy
+            if last is not None:
+                if group(*last) > group(ex, ey) or last[0] * ey - last[1] * ex <= 0:
+                    continue
+            if len(chain) >= 2:
+                fx, fy = chain[1][0] - x0, chain[1][1] - y0
+                gx, gy = x0 - w[0], y0 - w[1]
+                if (group(ex, ey) <= group(gx, gy)
+                        and ex * gy - ey * gx > 0
+                        and gx * fy - gy * fx > 0):
+                    yield (*chain, w)
+            chain.append(w)
+            yield from grow(v0, chain, (ex, ey), pool)
+            chain.pop()
+
+    grid = [(x, y) for x in range(n + 1) for y in range(n + 1)]
+    for i, v0 in enumerate(grid):
+        yield (v0,)
+        pool = grid[i + 1:]
+        for w in pool:
+            yield (v0, w)
+        yield from grow(v0, [v0], None, pool)
+
+
+class TestOrder:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_order_unchanged(self, n):
+        # the CLI prints this order when --sorted is not given
+        got = [tuple((v.x, v.y) for v in P.vertices)
+               for P in enumerate_convex(n, include_degenerate=True)]
+        assert got == list(_reference_chains(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_anchored_is_the_corner_subsequence(self, n):
+        everything = enumerate_convex(n, include_degenerate=True)
+        want = [P for P in everything
+                if min(v.x for v in P.vertices) == 0 and min(v.y for v in P.vertices) == 0]
+        assert list(enumerate_anchored(n)) == want
+
+    def test_anchored_guard(self):
+        with pytest.raises(InvalidInputError):
+            enumerate_anchored(0)
 
 
 class TestClasses:

@@ -15,13 +15,14 @@ from latticesize import (
     area,
     contained_in_dilate,
     drop_vertex,
+    enumerate_convex,
     hull,
     lattice_points,
     parse_polygon_text,
     polygon_to_text,
     width,
 )
-from conftest import random_lattice_polygon, random_unimodular
+from conftest import random_lattice_polygon, random_rational_polygon, random_unimodular
 
 coords = st.integers(min_value=-6, max_value=6)
 points = st.tuples(coords, coords)
@@ -273,6 +274,75 @@ class TestDrop:
             kept = set(lattice_points(Q))
             assert v not in kept
             assert kept == {p for p in lattice_points(P) if p != v}
+
+
+def _brute_points(P):
+    """Bounding-box points on the inner side of every edge, by cross
+    products; a segment's points are the collinear ones in its box."""
+    vs = [(v.x, v.y) for v in P.vertices]
+    xs, ys = [x for x, _ in vs], [y for _, y in vs]
+    n = len(vs)
+    out = []
+    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
+        for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1):
+            crosses = [(bx - ax) * (y - ay) - (by - ay) * (x - ax)
+                       for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1])]
+            if n == 1:
+                inside = vs[0] == (x, y)
+            elif n == 2:
+                inside = crosses[0] == 0
+            else:
+                inside = min(crosses) >= 0
+            if inside:
+                out.append((x, y))
+    return out
+
+
+def _tuple_hull(points):
+    """Monotone-chain hull of coordinate pairs in the package's vertex
+    order: counterclockwise from the lexicographic minimum."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return tuple(pts)
+
+    def half(seq):
+        chain = []
+        for x, y in seq:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                chain.pop()
+            chain.append((x, y))
+        return chain[:-1]
+
+    return tuple(half(pts) + half(pts[::-1]))
+
+
+def _pairs(points):
+    return [(p.x, p.y) for p in points]
+
+
+class TestAgainstBruteForce:
+    def test_grid_corpus(self):
+        # every point set of {0..4}^2 in convex position, points and segments too
+        for P in enumerate_convex(4, include_degenerate=True):
+            ref = _brute_points(P)
+            assert _pairs(lattice_points(P)) == ref
+            if len(P.vertices) == 1:
+                continue
+            for v in P.vertices:
+                want = _tuple_hull(p for p in ref if p != (v.x, v.y))
+                assert tuple(_pairs(drop_vertex(P, v).vertices)) == want
+
+    def test_rational_polygons(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            P = random_rational_polygon(rng, span=6, max_den=5)
+            assert _pairs(lattice_points(P)) == _brute_points(P)
+        for k in range(3):
+            seg = hull([(Fraction(k, 3), 0), (3, Fraction(2 * k, 3))])
+            assert _pairs(lattice_points(seg)) == _brute_points(seg)
 
 
 class TestContainment:

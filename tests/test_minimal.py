@@ -4,6 +4,8 @@ import pytest
 
 from latticesize import (
     InvalidInputError,
+    canonical_form,
+    enumerate_convex,
     MinimalFamily,
     ResourceLimitError,
     generate_minimal,
@@ -154,6 +156,17 @@ class TestVerification:
         assert report.family_classes == report.search_classes
         assert report.only_in_families == ()
         assert report.only_in_search == ()
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_anchored_sweep_matches_full_grid(self, h):
+        # the unanchored sweep: every polygon of {0..h}^2, each test in full
+        full = set()
+        for P in enumerate_convex(h, include_degenerate=True):
+            if len(P.vertices) > 1 and ls_square(P) == h and is_minimal(P):
+                full.add(canonical_form(P))
+        report = verify_classification(h)
+        assert set(report.search_classes) == full
+        assert len(report.search_classes) == len(full)
 
     def test_parallel_agrees(self):
         seq = verify_classification(3)

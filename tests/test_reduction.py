@@ -10,6 +10,7 @@ from latticesize import (
     hull,
     width,
 )
+from latticesize import reduction
 from latticesize.reduction import argmin_shift, is_reduced
 from conftest import random_lattice_polygon, random_unimodular
 
@@ -62,6 +63,69 @@ class TestArgminShift:
                 width(P, (u2[0] + j * u1[0], u2[1] + j * u1[1]))
                 for j in range(-60, 61))
             assert best == scanned
+
+
+def _walk_shift(P, u1, u2):
+    """The one-step walk argmin_shift replaced, kept as its reference:
+    from 0, move while the width strictly drops."""
+    def shifted(k):
+        return width(P, (u2[0] + k * u1[0], u2[1] + k * u1[1]))
+
+    w0, wp, wm = shifted(0), shifted(1), shifted(-1)
+    if w0 <= wp and w0 <= wm:
+        return 0
+    step, best = (1, wp) if wp < w0 else (-1, wm)
+    k = step
+    while True:
+        nxt = shifted(k + step)
+        if nxt >= best:
+            return k
+        k += step
+        best = nxt
+
+
+class TestShiftSearch:
+    def test_matches_walk_on_seeded_shears(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            P = random_lattice_polygon(rng, span=5)
+            # an axis u1 and u2 the other axis sheared by up to 300
+            u1 = (1, 0) if rng.random() < 0.5 else (0, 1)
+            k = rng.randint(-300, 300)
+            u2 = (k, 1) if u1 == (1, 0) else (1, k)
+            assert argmin_shift(P, u1, u2) == _walk_shift(P, u1, u2)
+            # and a random unimodular pair
+            u1, u2 = random_unimodular(rng, shear=30).matrix
+            assert argmin_shift(P, u1, u2) == _walk_shift(P, u1, u2)
+
+    def test_matches_walk_on_plateaus(self):
+        box = hull([(0, 0), (7, 0), (7, 2), (0, 2)])
+        for k in range(-40, 41):
+            for u1 in ((0, 1), (1, 0)):
+                u2 = (1, k) if u1 == (0, 1) else (k, 1)
+                assert argmin_shift(box, u1, u2) == _walk_shift(box, u1, u2)
+
+    @pytest.fixture()
+    def width_calls(self, monkeypatch):
+        calls = []
+
+        def counting(P, u):
+            calls.append(u)
+            return width(P, u)
+
+        monkeypatch.setattr(reduction, "width", counting)
+        return calls
+
+    @pytest.mark.parametrize("u2, want", [((1, 0), 0), ((1, 1), -1), ((1, -1), 1)])
+    def test_small_shift_costs_at_most_four_widths(self, width_calls, u2, want):
+        assert argmin_shift(quad, (0, 1), u2) == want
+        assert len(width_calls) <= 4
+
+    def test_huge_shear_is_logarithmic(self, width_calls):
+        box = hull([(0, 0), (5, 0), (5, 1), (0, 1)])
+        k = 10**12
+        assert argmin_shift(box, (0, 1), (1, k)) == -k
+        assert len(width_calls) <= 4 * k.bit_length() + 3
 
 
 class TestGaussReduce:

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 from latticesize import (
     ContainmentCertificate,
     LatticeBasis,
+    UnimodularMap,
     apply_map,
     check_touch,
     hull,
@@ -57,6 +59,13 @@ class TestInvariants:
     def test_pentagon(self):
         rep = self.check(pentagon, (2, 2, 3, Fraction(5, 2)))
         assert rep.basis == LatticeBasis((1, 1), (1, 2))
+
+    def test_pentagon_under_huge_shear(self):
+        # the cost of reduction grows with log |k|, not with the shear k
+        shear = UnimodularMap(((1, 10**12), (0, 1)))
+        start = time.perf_counter()
+        self.check(apply_map(shear, pentagon), (2, 2, 3, Fraction(5, 2)))
+        assert time.perf_counter() - start < 0.5
 
     def test_quad(self):
         self.check(quad, (2, 3, 3, Fraction(7, 2)))
