@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DegenerateInputError, InvalidInputError
-from .geometry import ConvexPolygon, Coord, hull
+from .geometry import ConvexPolygon, Coord, _norm, hull
 from .oracle import lattice_equivalent
 from .size import invariants
 
@@ -101,11 +101,11 @@ def check_bounds(P: ConvexPolygon) -> BoundsReport:
         raise DegenerateInputError("bounds apply to full-dimensional polygons")
     rep = invariants(P)
     a = rep.area
-    slack_wh = a - Fraction(3, 8) * rep.width * rep.ls_square
-    slack_wl = a - Fraction(1, 4) * rep.width * rep.ls_simplex
+    slack_wh = _norm(a - Fraction(3, 8) * rep.width * rep.ls_square)
+    slack_wl = _norm(a - Fraction(1, 4) * rep.width * rep.ls_simplex)
     if P.is_lattice:
-        slack_simplex = a - Fraction(rep.ls_simplex) / 2
-        slack_square = a - Fraction(rep.ls_square) / 2
+        slack_simplex = _norm(a - Fraction(rep.ls_simplex, 2))
+        slack_square = _norm(a - Fraction(rep.ls_square, 2))
         # a family match forces one of the slacks to zero, so the search
         # is only worth running when a bound is tight
         family = None

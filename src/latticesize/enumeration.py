@@ -41,20 +41,33 @@ def enumerate_anchored(n: int) -> Iterator[ConvexPolygon]:
     """The members of enumerate_convex(n, include_degenerate=True) whose
     coordinate minima are both 0, in the same order.
 
-    Such a polygon starts at a vertex in the column x = 0, so only chains
-    from there are grown, and those whose smallest y is not 0 are skipped.
+    Such a polygon starts at a vertex v0 in the column x = 0, so only
+    chains from there are grown, and those whose smallest y is not 0 are
+    skipped.  Most of those are never grown.  Counterclockwise from v0,
+    the lexicographically smallest vertex, the edges heading forward
+    (lexicographically) come first and those heading backward last, and
+    the edge angles advance through less than a full turn.  So y falls
+    along forward edges heading down, then rises, then falls back to v0
+    along backward edges heading down.  Once a chain's last edge stops
+    heading down, every later vertex of any polygon it grows into lies on
+    that rise or on the final fall, hence no lower than the chain's last
+    vertex or than v0.  A chain with every vertex above y = 0 whose last
+    edge does not head down is therefore dropped together with every
+    chain grown from it (_grow's `lowest`): no polygon reaching y = 0 is
+    lost, and the others keep their order.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"grid size must be a positive integer, got {n!r}")
     return (ConvexPolygon._trusted(tuple(Point(x, y) for x, y in chain))
-            for chain in _chains(n, True, n + 1) if min(y for _, y in chain) == 0)
+            for chain in _chains(n, True, anchored=True) if min(y for _, y in chain) == 0)
 
 
-def _chains(n: int, include_degenerate: bool, starts: int | None = None) -> Iterator[tuple]:
-    """Chains from each of the first `starts` grid points in x-major order
-    (all of them by default) as their lexicographically smallest vertex."""
+def _chains(n: int, include_degenerate: bool, anchored: bool = False) -> Iterator[tuple]:
+    """Chains from each grid point in x-major order as their
+    lexicographically smallest vertex; with anchored, only from the
+    column x = 0, pruned as enumerate_anchored describes."""
     grid = [(x, y) for x in range(n + 1) for y in range(n + 1)]
-    for i, v0 in enumerate(grid[:starts]):
+    for i, v0 in enumerate(grid[:n + 1] if anchored else grid):
         if include_degenerate:
             yield (v0,)
         pool = grid[i + 1:]
@@ -62,10 +75,13 @@ def _chains(n: int, include_degenerate: bool, starts: int | None = None) -> Iter
             for w in pool:
                 yield (v0, w)
         for w in pool:
-            yield from _grow(v0, [v0, w], pool)
+            lowest = min(v0[1], w[1]) if anchored else 0
+            if lowest and w[1] >= v0[1]:
+                continue
+            yield from _grow(v0, [v0, w], pool, lowest)
 
 
-def _grow(v0, chain, pool) -> Iterator[tuple]:
+def _grow(v0, chain, pool, lowest=0) -> Iterator[tuple]:
     """Extend a chain of two or more grid points, v0 first, by one more
     point in all valid ways, yielding each polygon so made.
 
@@ -81,6 +97,10 @@ def _grow(v0, chain, pool) -> Iterator[tuple]:
     strictly convex polygon, yielded at once.  No point repeats: w = c
     makes no turn, and an earlier vertex w of that polygon has v0 on its
     arc from c to w, so v0 lies strictly right of c -> w.
+
+    lowest is the chain's smallest y when only polygons reaching y = 0
+    are wanted, and 0 otherwise; while it is positive, an edge c -> w
+    that does not head down ends the chain (see enumerate_anchored).
     """
     x0, y0 = v0
     fx, fy = chain[1][0] - x0, chain[1][1] - y0
@@ -94,11 +114,12 @@ def _grow(v0, chain, pool) -> Iterator[tuple]:
         if (lx * ey - ly * ex <= 0
                 or (last_backward and (ex > 0 or (ex == 0 and ey > 0)))
                 or fx * (wy - y0) - fy * (wx - x0) <= 0
-                or ex * gy - ey * gx <= 0):
+                or ex * gy - ey * gx <= 0
+                or (lowest and ey >= 0)):
             continue
         yield (*chain, w)
         chain.append(w)
-        yield from _grow(v0, chain, pool)
+        yield from _grow(v0, chain, pool, min(lowest, wy))
         chain.pop()
 
 

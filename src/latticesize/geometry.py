@@ -139,6 +139,31 @@ def hull(points: Iterable) -> ConvexPolygon:
     return ConvexPolygon._trusted(tuple(lo[:-1] + hi[:-1]))
 
 
+def _scaled(P: ConvexPolygon) -> tuple[int, ConvexPolygon]:
+    """(D, D*P) for the least common denominator D of P's coordinates.
+
+    D*P is a lattice polygon in canonical vertex order, since scaling by
+    a positive number keeps both the lexicographic order and the
+    orientation.  A lattice polygon comes back as (1, P) itself.
+    """
+    D = 1
+    for v in P.vertices:
+        if v.x.__class__ is not int:
+            D = math.lcm(D, v.x.denominator)
+        if v.y.__class__ is not int:
+            D = math.lcm(D, v.y.denominator)
+    if D == 1:
+        return 1, P
+    return D, ConvexPolygon._trusted(tuple(
+        _point(v.x.numerator * (D // v.x.denominator),
+               v.y.numerator * (D // v.y.denominator)) for v in P.vertices))
+
+
+def _unscaled(value: int, D: int) -> Coord:
+    """value / D as a Coord: an int whenever it is integral."""
+    return value if D == 1 else _norm(Fraction(value, D))
+
+
 def area(P: ConvexPolygon) -> Fraction:
     """Euclidean area by the shoelace sum; zero for segments and points."""
     vs = P.vertices

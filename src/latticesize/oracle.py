@@ -9,6 +9,7 @@ map that could do at least as well.
 from __future__ import annotations
 
 from math import gcd
+from typing import Iterator
 
 from .errors import DegenerateInputError, InvalidInputError
 from .geometry import (
@@ -19,6 +20,8 @@ from .geometry import (
     IntVec,
     Point,
     Target,
+    _scaled,
+    _unscaled,
     area,
     drop_vertex,
     hull,
@@ -92,12 +95,15 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     Independent of the reduced-basis shortcut except for using its
     certificate dilate as the search cap, which only ever widens the
     search beyond what the optimum needs, and its basis as the frame of
-    the direction scan, which any unimodular frame would do as well.
+    the direction scan, which any unimodular frame would do as well.  A
+    rational polygon is searched as its integer multiple D*P, whose
+    dilates are D times those of P.
     """
     if P.dim != 2:
         raise DegenerateInputError("exhaustive search needs a full-dimensional polygon")
     if target not in (SQUARE, SIMPLEX):
         raise InvalidInputError(f"unknown target {target!r}")
+    D, P = _scaled(P)
     report = invariants(P)
     cap = report.ls_square if target == SQUARE else report.ls_simplex
     dirs = candidate_directions(P, cap, report.basis)
@@ -115,31 +121,42 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
             if best is None or value < best:
                 best = value
     assert best is not None  # the reduced basis itself is always searched
-    return best
+    return _unscaled(best, D)
 
 
-def _normalized_images(P: ConvexPolygon, side,
-                       basis: LatticeBasis) -> list[tuple[Point, ...]]:
-    """Vertex tuples of every unimodular image of P inside the side-sized
-    corner square, translated so both coordinate minima are zero."""
+def _normalized_images(P: ConvexPolygon, side, basis: LatticeBasis) -> Iterator[tuple]:
+    """Vertex tuples of every unimodular image of the lattice polygon P
+    inside the side-sized corner square, translated so both coordinate
+    minima are zero, as tuples of integer pairs in canonical order.
+
+    An affine bijection keeps three points collinear exactly when they
+    were, so the image of P's strictly convex vertex cycle is again a
+    strictly convex cycle: no hull is needed.  The cycle keeps its
+    counterclockwise orientation when the linear part, sign flips
+    included, has determinant +1 and turns clockwise when it has -1, in
+    which case it is reversed; rotating it to start at its lexicographic
+    minimum then gives the tuple hull would return.
+    """
     dirs = candidate_directions(P, side, basis)
     dots = {u: [u[0] * v.x + u[1] * v.y for v in P.vertices] for u in dirs}
     narrow = [u for u in dirs if max(dots[u]) - min(dots[u]) <= side]
-    images = []
     for u in narrow:
         for v in narrow:
-            if u[0] * v[1] - u[1] * v[0] not in (1, -1):
+            det = u[0] * v[1] - u[1] * v[0]
+            if det not in (1, -1):
                 continue
             du, dv = dots[u], dots[v]
             for sx in (1, -1):
+                xs = [sx * a for a in du]
+                mx = min(xs)
                 for sy in (1, -1):
-                    xs = [sx * a for a in du]
                     ys = [sy * b for b in dv]
-                    mx = min(xs)
                     my = min(ys)
-                    images.append(hull(
-                        Point(x - mx, y - my) for x, y in zip(xs, ys)).vertices)
-    return images
+                    image = [(x - mx, y - my) for x, y in zip(xs, ys)]
+                    if det * sx * sy < 0:
+                        image.reverse()
+                    k = image.index(min(image))
+                    yield tuple(image[k:] + image[:k])
 
 
 def canonical_form(P: ConvexPolygon) -> ConvexPolygon:
@@ -147,7 +164,9 @@ def canonical_form(P: ConvexPolygon) -> ConvexPolygon:
 
     Two polygons are unimodularly equivalent exactly when their canonical
     forms coincide, and the canonical form of a lattice polygon with
-    square size h sits inside the corner square of side h.
+    square size h sits inside the corner square of side h.  The images of
+    a rational polygon are compared as those of its integer multiple D*P,
+    which are D times larger and so ordered alike.
     """
     if P.dim == 0:
         return ConvexPolygon((Point(0, 0),))
@@ -156,10 +175,12 @@ def canonical_form(P: ConvexPolygon) -> ConvexPolygon:
         # segment from the origin is the lexicographic minimum
         length = ls_square(P)
         return hull([Point(0, 0), Point(0, length)])
+    D, P = _scaled(P)
     basis = gauss_reduce(P)
     side = width(P, basis.u2)
     best = min(_normalized_images(P, side, basis))
-    return ConvexPolygon._trusted(best)
+    return ConvexPolygon._trusted(
+        tuple(Point(_unscaled(x, D), _unscaled(y, D)) for x, y in best))
 
 
 def lattice_equivalent(P: ConvexPolygon, Q: ConvexPolygon) -> bool:

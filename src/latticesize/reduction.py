@@ -90,17 +90,20 @@ def gauss_reduce(P: ConvexPolygon) -> LatticeBasis:
     The result (u1, u2) has width(u1) <= width(u2), and neither u2 + u1
     nor u2 - u1 is narrower than u2.  Points reduce to the standard
     basis; a segment yields its primitive normal direction (width zero)
-    as u1.
+    as u1.  The two widths are carried from round to round, so only a
+    shifted u2 is measured afresh.
     """
     u1, u2 = (1, 0), (0, 1)
-    if width(P, u1) > width(P, u2):
-        u1, u2 = u2, u1
+    w1, w2 = width(P, u1), width(P, u2)
+    if w1 > w2:
+        u1, u2, w1, w2 = u2, u1, w2, w1
     for _ in range(_MAX_ROUNDS):
         k = argmin_shift(P, u1, u2)
         if k:
             u2 = (u2[0] + k * u1[0], u2[1] + k * u1[1])
-        if width(P, u2) < width(P, u1):
-            u1, u2 = u2, u1
+            w2 = width(P, u2)
+        if w2 < w1:
+            u1, u2, w1, w2 = u2, u1, w2, w1
         else:
             return LatticeBasis(u1, u2)
     raise RuntimeError("basis reduction failed to converge")  # pragma: no cover

@@ -6,6 +6,11 @@ of the polygon fits into.  For a width-reduced basis the two widths give
 the lattice width and the square size outright, and the triangle size is
 the best of the four axis sign flips of the reduced image; the returned
 certificates make those containments directly checkable.
+
+A rational polygon P is measured as its integer multiple D*P, D the least
+common denominator of its coordinates: every width of D*P is D times that
+of P, so the two reduce to the same basis, and the widths, sizes and
+certificate translations of P are those of D*P divided by D.
 """
 from __future__ import annotations
 
@@ -19,6 +24,8 @@ from .geometry import (
     Coord,
     Target,
     UnimodularMap,
+    _scaled,
+    _unscaled,
     apply_map,
     area,
     contained_in_dilate,
@@ -79,14 +86,16 @@ def lattice_width(P: ConvexPolygon) -> Coord:
     """Smallest directional width over all nonzero integer directions."""
     if len(P.vertices) == 1:
         return 0
-    return width(P, gauss_reduce(P).u1)
+    D, P = _scaled(P)
+    return _unscaled(width(P, gauss_reduce(P).u1), D)
 
 
 def ls_square(P: ConvexPolygon) -> Coord:
     """Lattice size for the unit-square target, without the certificate."""
     if len(P.vertices) == 1:
         return 0
-    return width(P, gauss_reduce(P).u2)
+    D, P = _scaled(P)
+    return _unscaled(width(P, gauss_reduce(P).u2), D)
 
 
 def invariants(P: ConvexPolygon) -> InvariantsReport:
@@ -100,17 +109,19 @@ def invariants(P: ConvexPolygon) -> InvariantsReport:
             cert_square=ContainmentCertificate(to_origin, SQUARE, 0),
             cert_simplex=ContainmentCertificate(to_origin, SIMPLEX, 0),
         )
-    basis = gauss_reduce(P)
+    D, S = _scaled(P)
+    basis = gauss_reduce(S)
     reduce_map = UnimodularMap.from_rows(basis.u1, basis.u2)
-    Q = apply_map(reduce_map, P)
+    Q = apply_map(reduce_map, S)
     min_x = min(v.x for v in Q.vertices)
     max_x = max(v.x for v in Q.vertices)
     min_y = min(v.y for v in Q.vertices)
     max_y = max(v.y for v in Q.vertices)
 
-    square_side = width(P, basis.u2)
+    square_side = _unscaled(width(S, basis.u2), D)
     cert_square = ContainmentCertificate(
-        UnimodularMap(reduce_map.matrix, (-min_x, -min_y)), SQUARE, square_side)
+        UnimodularMap(reduce_map.matrix, (_unscaled(-min_x, D), _unscaled(-min_y, D))),
+        SQUARE, square_side)
 
     dilates = simplex_dilates(Q)
     best = min(dilates)
@@ -119,13 +130,15 @@ def invariants(P: ConvexPolygon) -> InvariantsReport:
     (r1a, r1b), (r2a, r2b) = reduce_map.matrix
     flipped = ((sx * r1a, sx * r1b), (sy * r2a, sy * r2b))
     shift = (-min_x if sx > 0 else max_x, -min_y if sy > 0 else max_y)
+    simplex_side = _unscaled(best, D)
     cert_simplex = ContainmentCertificate(
-        UnimodularMap(flipped, shift), SIMPLEX, best)
+        UnimodularMap(flipped, (_unscaled(shift[0], D), _unscaled(shift[1], D))),
+        SIMPLEX, simplex_side)
 
     return InvariantsReport(
-        width=width(P, basis.u1),
+        width=_unscaled(width(S, basis.u1), D),
         ls_square=square_side,
-        ls_simplex=best,
+        ls_simplex=simplex_side,
         area=area(P),
         basis=basis,
         cert_square=cert_square,

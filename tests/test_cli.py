@@ -10,6 +10,83 @@ CLI = [sys.executable, "-m", "latticesize.cli"]
 PENTAGON = "4 0\n5 0\n2 2\n0 3\n1 2\n"
 QUAD = "0 0\n0 3\n2 2\n1 3\n"
 TRI = "0 0\n1 2\n2 1\n"
+RATIONAL_PENTAGON = "1/2 0\n7/3 1\n9/2 5/2\n13/3 3\n1 4/3\n"
+RATIONAL_INVARIANTS = '''\
+{
+  "area": "119/36",
+  "cert_simplex": {
+    "dilate": "11/3",
+    "matrix": [
+      [
+        1,
+        -2
+      ],
+      [
+        1,
+        -1
+      ]
+    ],
+    "target": "simplex",
+    "translation": [
+      "5/3",
+      "1/3"
+    ]
+  },
+  "cert_square": {
+    "dilate": "7/3",
+    "matrix": [
+      [
+        1,
+        -2
+      ],
+      [
+        1,
+        -1
+      ]
+    ],
+    "target": "square",
+    "translation": [
+      "5/3",
+      "1/3"
+    ]
+  },
+  "ls_simplex": "11/3",
+  "ls_square": "7/3",
+  "reduced_basis": {
+    "u1": [
+      1,
+      -2
+    ],
+    "u2": [
+      1,
+      -1
+    ]
+  },
+  "width": "13/6"
+}
+'''
+RATIONAL_ORACLE = '''\
+{
+  "agree": true,
+  "simplex": {
+    "agree": true,
+    "fast": "11/3",
+    "search": "11/3"
+  },
+  "square": {
+    "agree": true,
+    "fast": "7/3",
+    "search": "7/3"
+  }
+}
+'''
+RATIONAL_CANONICAL = '''\
+0 0
+5/3 0
+7/3 7/6
+5/3 2
+5/6 13/6
+'''
 
 
 def run(*args, stdin=None, env=None):
@@ -132,6 +209,21 @@ class TestCanonicalAndEquivalent:
         b.write_text(QUAD)
         r = run("equivalent", str(a), str(b))
         assert (r.returncode, r.stdout) == (0, "false\n")
+
+
+class TestRationalGolden:
+    """Full stdout for a pentagon with denominators 2 and 3, so its
+    coordinates are cleared by D = 6."""
+
+    @pytest.mark.parametrize("command, want", [
+        ("invariants", RATIONAL_INVARIANTS),
+        ("oracle", RATIONAL_ORACLE),
+        ("canonical", RATIONAL_CANONICAL),
+    ])
+    def test_stdout(self, command, want):
+        r = run(command, "-", stdin=RATIONAL_PENTAGON)
+        assert r.returncode == 0
+        assert r.stdout == want
 
 
 class TestEnumerate:

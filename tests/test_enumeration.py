@@ -14,7 +14,7 @@ from latticesize import (
     hull,
     ls_square,
 )
-from latticesize.enumeration import enumerate_anchored, map_polygons
+from latticesize.enumeration import _chains, enumerate_anchored, map_polygons
 
 
 class TestCounts:
@@ -124,6 +124,20 @@ class TestOrder:
         want = [P for P in everything
                 if min(v.x for v in P.vertices) == 0 and min(v.y for v in P.vertices) == 0]
         assert list(enumerate_anchored(n)) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_anchored_pruning_keeps_the_filtered_chains(self, n):
+        # the unpruned way: grow every chain from the column x = 0, then
+        # keep those whose smallest y is 0
+        column = itertools.takewhile(lambda chain: chain[0][0] == 0, _chains(n, True))
+        want = [chain for chain in column if min(y for _, y in chain) == 0]
+        got = [tuple((v.x, v.y) for v in P.vertices) for P in enumerate_anchored(n)]
+        assert got == want
+
+    def test_anchored_pruning_skips_chains(self):
+        # 24,265 chains from the column x = 0 of {0..4}^2 without pruning,
+        # 18,019 of them reaching y = 0
+        assert sum(1 for _ in _chains(4, True, anchored=True)) == 18_102
 
     def test_anchored_guard(self):
         with pytest.raises(InvalidInputError):

@@ -5,6 +5,7 @@ import pytest
 from latticesize import (
     InvalidInputError,
     LatticeBasis,
+    UnimodularMap,
     apply_map,
     gauss_reduce,
     hull,
@@ -16,6 +17,18 @@ from conftest import random_lattice_polygon, random_unimodular
 
 quad = hull([(0, 0), (0, 3), (2, 2), (1, 3)])
 pentagon = hull([(4, 0), (5, 0), (2, 2), (0, 3), (1, 2)])
+
+
+@pytest.fixture()
+def width_calls(monkeypatch):
+    calls = []
+
+    def counting(P, u):
+        calls.append(u)
+        return width(P, u)
+
+    monkeypatch.setattr(reduction, "width", counting)
+    return calls
 
 
 class TestLatticeBasis:
@@ -105,17 +118,6 @@ class TestShiftSearch:
                 u2 = (1, k) if u1 == (0, 1) else (k, 1)
                 assert argmin_shift(box, u1, u2) == _walk_shift(box, u1, u2)
 
-    @pytest.fixture()
-    def width_calls(self, monkeypatch):
-        calls = []
-
-        def counting(P, u):
-            calls.append(u)
-            return width(P, u)
-
-        monkeypatch.setattr(reduction, "width", counting)
-        return calls
-
     @pytest.mark.parametrize("u2, want", [((1, 0), 0), ((1, 1), -1), ((1, -1), 1)])
     def test_small_shift_costs_at_most_four_widths(self, width_calls, u2, want):
         assert argmin_shift(quad, (0, 1), u2) == want
@@ -151,6 +153,26 @@ class TestGaussReduce:
 
     def test_point(self):
         assert gauss_reduce(hull([(7, -2)])) == LatticeBasis((1, 0), (0, 1))
+
+    @pytest.mark.parametrize("matrix, want", [
+        (((1, 0), (0, 1)), 10), (((1, 7), (0, 1)), 19), (((1, 0), (40, 1)), 32)])
+    def test_widths_carried_across_rounds(self, width_calls, monkeypatch, matrix, want):
+        # gauss_reduce measures the two axes, then only each shifted u2;
+        # every other width is argmin_shift's own
+        shifts, inner = [], []
+
+        def recording(P, u1, u2):
+            before = len(width_calls)
+            shifts.append(argmin_shift(P, u1, u2))
+            inner.append(len(width_calls) - before)
+            return shifts[-1]
+
+        monkeypatch.setattr(reduction, "argmin_shift", recording)
+        P = apply_map(UnimodularMap(matrix), pentagon)
+        basis = gauss_reduce(P)
+        assert len(width_calls) - sum(inner) == 2 + sum(1 for k in shifts if k)
+        assert len(width_calls) == want
+        assert is_reduced(P, basis)
 
     def test_deterministic(self):
         rng = random.Random(29)
