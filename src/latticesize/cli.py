@@ -8,8 +8,8 @@ rational is serialized as a canonical "p/q" string ("p" when integral)
 so output is stable enough for golden tests.
 
 Exit codes: 0 success, 1 malformed input or flags, 2 verification
-failure (oracle disagreement, negative slack, classification mismatch),
-3 resource limit exceeded.
+failure (oracle disagreement, a certificate that does not hold, negative
+slack, classification mismatch), 3 resource limit exceeded.
 """
 from __future__ import annotations
 
@@ -190,6 +190,9 @@ def _check_corpus_polygon(P: ConvexPolygon) -> list[str]:
     where = _poly_line(P)
     failures = []
     rep = invariants(P)
+    for cert in (rep.cert_square, rep.cert_simplex):
+        if not cert.verify(P):
+            failures.append(f"{where}: {cert.target} certificate does not hold")
     for target, fast in ((SQUARE, rep.ls_square), (SIMPLEX, rep.ls_simplex)):
         got = brute_force_lattice_size(P, target)
         if got != fast:

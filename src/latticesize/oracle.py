@@ -35,58 +35,69 @@ def candidate_directions(P: ConvexPolygon, cap, basis: LatticeBasis) -> list[Int
     """All primitive directions of width at most cap, up to sign.
 
     Representatives have positive first coordinate, or a zero first and
-    positive second.  The scan runs in the frame of basis and maps hits
-    back through the transpose.  Square shells are scanned outward;
-    widths are positively homogeneous along rays and change by at most
-    one axis width per unit step along a shell, so once the narrowest
-    integer point of a shell clears cap by that slack nothing further
-    qualifies.  That argument holds in any unimodular frame; a
-    width-reduced basis (gauss_reduce) only keeps the scan short, since
-    its axis widths are as small as any basis allows, which bounds the
-    search by the shape's intrinsic widths rather than whatever skewed
-    coordinates it arrived in.
+    positive second.  The scan runs in the frame of basis: with frame
+    coordinates xs = u1.v and ys = u2.v of the vertices v, the width
+    width(a, b) of the direction a*u1 + b*u2 is at most cap exactly when
+    |a*dx + b*dy| <= cap for the difference (dx, dy) of every vertex
+    pair, so the candidates are the integer points (a, b) of the
+    intersection K of those slabs.
+
+    Each pair with dy > 0 bounds b in a column a to an interval, read off
+    by ceiling and floor division.  A pair with dy = 0 asks only
+    |a*dx| <= cap, which the column bound below implies.  K is symmetric
+    about the origin, so the half plane a > 0, plus b > 0 on the column
+    a = 0, holds one direction of each pair +-u, and b = 1 is the only
+    primitive one on that column.
+
+    Columns end at a breakpoint bound.  For a > 0, width(a, b) is
+    a * f(b/a), where f(t) = width(1, t) is convex and piecewise linear
+    and grows without bound in both directions, since P is
+    full-dimensional.  Its breakpoints are where the extreme vertices
+    change, at t = -dx/dy for an edge (dx, dy) of the frame image, so f
+    is smallest at one of them, where it is width(dy, -dx) / |dy|; a hit
+    therefore needs a <= cap * |dy| / width(dy, -dx) for some edge with
+    dy != 0.  As f(t) >= |dx| for any pair with dy = 0, that bound keeps
+    |a*dx| <= cap too.
+
+    Hits map back through the transpose of the frame, which takes the
+    half plane to one representative per sign pair.  The scan is exact
+    in any unimodular frame; a width-reduced basis (gauss_reduce) only
+    keeps it short, since its axis widths are as small as any basis
+    allows, which bounds the search by the shape's intrinsic widths
+    rather than whatever skewed coordinates it arrived in.
     """
     if P.dim != 2:
         raise DegenerateInputError("direction enumeration needs a full-dimensional polygon")
     if cap < 0:
         raise InvalidInputError("cap must be nonnegative")
-    dots1 = [basis.u1[0] * v.x + basis.u1[1] * v.y for v in P.vertices]
-    dots2 = [basis.u2[0] * v.x + basis.u2[1] * v.y for v in P.vertices]
-
-    def reduced_width(u: IntVec):
-        a, b = u
-        dots = [a * p + b * q for p, q in zip(dots1, dots2)]
-        return max(dots) - min(dots)
-
-    slack = max(reduced_width((1, 0)), reduced_width((0, 1)))
+    (p, q), (r, s) = basis.u1, basis.u2
+    xs = [p * v.x + q * v.y for v in P.vertices]
+    ys = [r * v.x + s * v.y for v in P.vertices]
+    slabs = set()   # vertex-pair differences (dx, dy) with dy > 0
+    for i in range(len(xs)):
+        for j in range(i):
+            dx, dy = xs[i] - xs[j], ys[i] - ys[j]
+            if dy > 0:
+                slabs.add((dx, dy))
+            elif dy < 0:
+                slabs.add((-dx, -dy))
+    last = 0        # the breakpoint bound on a, over the edges (vertex i-1, vertex i)
+    for i in range(len(xs)):
+        dx, dy = xs[i] - xs[i - 1], ys[i] - ys[i - 1]
+        if dy:
+            spread = [dy * x - dx * y for x, y in zip(xs, ys)]
+            last = max(last, cap * abs(dy) // (max(spread) - min(spread)))
     found: list[IntVec] = []
-    r = 0
-    while True:
-        r += 1
-        shell_min = None
-        for u in _shell(r):
-            w = reduced_width(u)
-            if shell_min is None or w < shell_min:
-                shell_min = w
-            if w <= cap and gcd(u[0], u[1]) == 1:
-                a = u[0] * basis.u1[0] + u[1] * basis.u2[0]
-                b = u[0] * basis.u1[1] + u[1] * basis.u2[1]
-                if a < 0 or (a == 0 and b < 0):
-                    a, b = -a, -b
-                found.append((a, b))
-        if shell_min > cap + slack:
-            return sorted(set(found))
-
-
-def _shell(r: int):
-    """Integer points with max(|a|, |b|) = r."""
-    for a in range(-r, r + 1):
-        if abs(a) == r:
-            for b in range(-r, r + 1):
-                yield (a, b)
-        else:
-            yield (a, -r)
-            yield (a, r)
+    for a in range(last + 1):
+        lo = max([-((cap + a * dx) // dy) for dx, dy in slabs])
+        hi = min([(cap - a * dx) // dy for dx, dy in slabs])
+        if a == 0:
+            lo, hi = 1, min(hi, 1)
+        for b in range(lo, hi + 1):
+            if gcd(a, b) == 1:
+                u = (a * p + b * r, a * q + b * s)
+                found.append(u if u[0] > 0 or (u[0] == 0 and u[1] > 0) else (-u[0], -u[1]))
+    return sorted(found)
 
 
 def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
@@ -139,9 +150,8 @@ def _normalized_images(P: ConvexPolygon, side, basis: LatticeBasis) -> Iterator[
     """
     dirs = candidate_directions(P, side, basis)
     dots = {u: [u[0] * v.x + u[1] * v.y for v in P.vertices] for u in dirs}
-    narrow = [u for u in dirs if max(dots[u]) - min(dots[u]) <= side]
-    for u in narrow:
-        for v in narrow:
+    for u in dirs:
+        for v in dirs:
             det = u[0] * v[1] - u[1] * v[0]
             if det not in (1, -1):
                 continue

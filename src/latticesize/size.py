@@ -111,32 +111,29 @@ def invariants(P: ConvexPolygon) -> InvariantsReport:
         )
     D, S = _scaled(P)
     basis = gauss_reduce(S)
-    reduce_map = UnimodularMap.from_rows(basis.u1, basis.u2)
-    Q = apply_map(reduce_map, S)
-    min_x = min(v.x for v in Q.vertices)
-    max_x = max(v.x for v in Q.vertices)
-    min_y = min(v.y for v in Q.vertices)
-    max_y = max(v.y for v in Q.vertices)
+    (a, b), (c, d) = basis.u1, basis.u2
+    # S's vertices in the reduced frame: every size is read off their extremes
+    xs = [a * v.x + b * v.y for v in S.vertices]
+    ys = [c * v.x + d * v.y for v in S.vertices]
+    min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
 
-    square_side = _unscaled(width(S, basis.u2), D)
+    square_side = _unscaled(max_y - min_y, D)
     cert_square = ContainmentCertificate(
-        UnimodularMap(reduce_map.matrix, (_unscaled(-min_x, D), _unscaled(-min_y, D))),
+        UnimodularMap(((a, b), (c, d)), (_unscaled(-min_x, D), _unscaled(-min_y, D))),
         SQUARE, square_side)
 
-    dilates = simplex_dilates(Q)
+    dilates = flip_dilates(xs, ys)
     best = min(dilates)
-    which = dilates.index(best)
-    sx, sy = _FLIPS[which]
-    (r1a, r1b), (r2a, r2b) = reduce_map.matrix
-    flipped = ((sx * r1a, sx * r1b), (sy * r2a, sy * r2b))
+    sx, sy = _FLIPS[dilates.index(best)]
     shift = (-min_x if sx > 0 else max_x, -min_y if sy > 0 else max_y)
     simplex_side = _unscaled(best, D)
     cert_simplex = ContainmentCertificate(
-        UnimodularMap(flipped, (_unscaled(shift[0], D), _unscaled(shift[1], D))),
+        UnimodularMap(((sx * a, sx * b), (sy * c, sy * d)),
+                      (_unscaled(shift[0], D), _unscaled(shift[1], D))),
         SIMPLEX, simplex_side)
 
     return InvariantsReport(
-        width=_unscaled(width(S, basis.u1), D),
+        width=_unscaled(max_x - min_x, D),
         ls_square=square_side,
         ls_simplex=simplex_side,
         area=area(P),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from latticesize import ConvexPolygon, UnimodularMap, enumerate_convex, hull
+from latticesize import ConvexPolygon, UnimodularMap, apply_map, enumerate_convex, hull
 
 settings.register_profile(
     "exact", deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -23,6 +23,14 @@ def random_unimodular(rng: random.Random, shear: int = 4) -> UnimodularMap:
         if rng.random() < 0.3:
             m = (m[1], m[0])
     return UnimodularMap(m, (rng.randint(-9, 9), rng.randint(-9, 9)))
+
+
+def random_shear(rng: random.Random, P: ConvexPolygon) -> ConvexPolygon:
+    """P under one shear with a factor log-uniform on [1, 1e4], either sign,
+    and a random lattice translation."""
+    k = rng.choice((1, -1)) * round(10 ** rng.uniform(0, 4))
+    m = ((1, k), (0, 1)) if rng.random() < 0.5 else ((1, 0), (k, 1))
+    return apply_map(UnimodularMap(m, (rng.randint(-50, 50), rng.randint(-50, 50))), P)
 
 
 def random_lattice_polygon(rng: random.Random, span: int = 4,

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+import latticesize.cli
+from latticesize import UnimodularMap
 
 CLI = [sys.executable, "-m", "latticesize.cli"]
 
@@ -314,6 +318,27 @@ class TestCorpusCheck:
         pooled = run("corpus-check", "--n", "2", "--jobs", "2")
         assert serial.returncode == pooled.returncode == 0
         assert pooled.stdout == serial.stdout
+
+    def test_certificates_checked(self, monkeypatch, capsys):
+        # a certificate whose translation misses by one fails the check,
+        # though both sizes still agree with the search
+        real = latticesize.cli.invariants
+
+        def shifted(P):
+            rep = real(P)
+            cert = rep.cert_simplex
+            tx, ty = cert.map.translation
+            bad = dataclasses.replace(cert, map=UnimodularMap(cert.map.matrix, (tx + 1, ty)))
+            return dataclasses.replace(rep, cert_simplex=bad)
+
+        monkeypatch.setattr(latticesize.cli, "invariants", shifted)
+        code = latticesize.cli.main(["corpus-check", "--n", "1", "--jobs", "1"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 2 and data["ok"] is False
+        assert data["failure_count"] == data["polygons"] == 5
+        assert data["failures"][0] == "0,0;1,0;0,1: simplex certificate does not hold"
+        assert all(f.endswith(": simplex certificate does not hold")
+                   for f in data["failures"])
 
     @pytest.mark.parametrize("flag, env", [
         ("0", {}), ("-3", {}), ("abc", {}),

@@ -25,8 +25,14 @@ from latticesize import (
     ls_square,
     width,
 )
+from latticesize.geometry import _scaled
 from latticesize.oracle import candidate_directions
-from conftest import random_lattice_polygon, random_unimodular
+from conftest import (
+    random_lattice_polygon,
+    random_rational_polygon,
+    random_shear,
+    random_unimodular,
+)
 
 tri = hull([(0, 0), (1, 2), (2, 1)])
 pentagon = hull([(4, 0), (5, 0), (2, 2), (0, 3), (1, 2)])
@@ -78,6 +84,106 @@ class TestCandidateDirections:
             found = reduced_directions(P, cap)
             assert all(max(abs(a), abs(b)) <= 12 for a, b in found)
             assert set(found) == {u for u in box if width(P, u) <= cap}
+
+
+def shell_directions(P, cap, basis):
+    """The square-shell walk that candidate_directions replaced, kept as
+    its reference: shells max(|a|, |b|) = r of the frame are scanned
+    outward, both signs of each direction measured, until the narrowest
+    point of a shell clears cap by the larger axis width."""
+    dots1 = [basis.u1[0] * v.x + basis.u1[1] * v.y for v in P.vertices]
+    dots2 = [basis.u2[0] * v.x + basis.u2[1] * v.y for v in P.vertices]
+
+    def reduced_width(a, b):
+        dots = [a * p + b * q for p, q in zip(dots1, dots2)]
+        return max(dots) - min(dots)
+
+    slack = max(reduced_width(1, 0), reduced_width(0, 1))
+    found = []
+    r = 0
+    while True:
+        r += 1
+        shell_min = None
+        for a in range(-r, r + 1):
+            for b in (range(-r, r + 1) if abs(a) == r else (-r, r)):
+                w = reduced_width(a, b)
+                if shell_min is None or w < shell_min:
+                    shell_min = w
+                if w <= cap and gcd(a, b) == 1:
+                    x = a * basis.u1[0] + b * basis.u2[0]
+                    y = a * basis.u1[1] + b * basis.u2[1]
+                    if x < 0 or (x == 0 and y < 0):
+                        x, y = -x, -y
+                    found.append((x, y))
+        if shell_min > cap + slack:
+            return sorted(set(found))
+
+
+def frame_column(u, basis):
+    """|a| for the frame coordinates (a, b) of u = a*u1 + b*u2."""
+    (p, q), (r, s) = basis.u1, basis.u2
+    return abs((u[0] * s - u[1] * r) * (p * s - q * r))
+
+
+def breakpoint_bound(P, cap, basis):
+    """max over vertex pairs with dy > 0 of floor(cap*dy / width(dy, -dx)),
+    in frame coordinates."""
+    (p, q), (r, s) = basis.u1, basis.u2
+    xs = [p * v.x + q * v.y for v in P.vertices]
+    ys = [r * v.x + s * v.y for v in P.vertices]
+    bound = 0
+    for (x1, y1), (x2, y2) in itertools.combinations(zip(xs, ys), 2):
+        dx, dy = (x1 - x2, y1 - y2) if y1 > y2 else (x2 - x1, y2 - y1)
+        if dy > 0:
+            spread = [dy * x - dx * y for x, y in zip(xs, ys)]
+            bound = max(bound, cap * dy // (max(spread) - min(spread)))
+    return bound
+
+
+class TestDirectionScan:
+    """candidate_directions against the shell walk it replaced."""
+
+    IDENTITY = LatticeBasis((1, 0), (0, 1))
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_matches_shell_walk_small_grid(self, corpus3, chunk):
+        for P in corpus3[chunk::4]:
+            for basis in (self.IDENTITY, gauss_reduce(P)):
+                for cap in range(7):
+                    assert (candidate_directions(P, cap, basis)
+                            == shell_directions(P, cap, basis)), (P, cap, basis)
+
+    def test_matches_shell_walk_rational(self):
+        # rational polygons as their integer multiples D*P, which the
+        # oracle scans at the scaled caps of their own reports
+        rng = random.Random(97)
+        for _ in range(200):
+            D, S = _scaled(random_rational_polygon(rng, span=4, max_den=12))
+            rep = invariants(S)
+            for cap in (rep.width, rep.ls_square, rep.ls_simplex, rep.ls_simplex + D):
+                assert (candidate_directions(S, cap, rep.basis)
+                        == shell_directions(S, cap, rep.basis)), (S, cap)
+
+    def test_matches_shell_walk_sheared(self):
+        rng = random.Random(101)
+        for _ in range(100):
+            P = random_shear(rng, random_lattice_polygon(rng))
+            rep = invariants(P)
+            for cap in (rep.width, rep.ls_square, rep.ls_simplex):
+                assert (candidate_directions(P, cap, rep.basis)
+                        == shell_directions(P, cap, rep.basis)), (P, cap)
+
+    def test_no_hit_past_breakpoint_bound(self, corpus3):
+        on_bound = 0
+        for P in corpus3[::3]:
+            for basis in (self.IDENTITY, gauss_reduce(P)):
+                for cap in range(1, 7):
+                    bound = breakpoint_bound(P, cap, basis)
+                    columns = [frame_column(u, basis)
+                               for u in shell_directions(P, cap, basis)]
+                    assert all(a <= bound for a in columns), (P, cap, basis)
+                    on_bound += bound in columns
+        assert on_bound > 0   # the bound is reached, not just safe
 
 
 class TestOneReduction:

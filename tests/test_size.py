@@ -2,19 +2,30 @@ import random
 import time
 from fractions import Fraction
 
+import latticesize.geometry
+import latticesize.size
 from latticesize import (
+    SIMPLEX,
+    SQUARE,
     ContainmentCertificate,
+    InvariantsReport,
     LatticeBasis,
     UnimodularMap,
     apply_map,
+    area,
     check_touch,
+    enumerate_convex,
+    gauss_reduce,
     hull,
     invariants,
     lattice_width,
     ls_square,
     simplex_dilates,
+    width,
 )
-from conftest import random_lattice_polygon, random_unimodular
+from latticesize.geometry import _scaled, _unscaled
+from conftest import random_lattice_polygon, random_shear, random_unimodular
+from test_rational import POLYGONS as RATIONAL_POLYGONS
 
 quad = hull([(0, 0), (0, 3), (2, 2), (1, 3)])
 pentagon = hull([(4, 0), (5, 0), (2, 2), (0, 3), (1, 2)])
@@ -120,6 +131,91 @@ class TestInvariants:
                 smaller = ContainmentCertificate(
                     cert.map, cert.target, cert.dilate - 1)
                 assert not smaller.verify(P)
+
+
+def image_invariants(P):
+    """The image-polygon path that invariants replaced, kept as its
+    reference: the reduced image of D*P is hulled by apply_map, its
+    extremes and simplex_dilates read off that polygon, and both widths
+    measured again on D*P."""
+    D, S = _scaled(P)
+    basis = gauss_reduce(S)
+    reduce_map = UnimodularMap.from_rows(basis.u1, basis.u2)
+    Q = apply_map(reduce_map, S)
+    min_x = min(v.x for v in Q.vertices)
+    max_x = max(v.x for v in Q.vertices)
+    min_y = min(v.y for v in Q.vertices)
+    max_y = max(v.y for v in Q.vertices)
+    square_side = _unscaled(width(S, basis.u2), D)
+    cert_square = ContainmentCertificate(
+        UnimodularMap(reduce_map.matrix, (_unscaled(-min_x, D), _unscaled(-min_y, D))),
+        SQUARE, square_side)
+    dilates = simplex_dilates(Q)
+    best = min(dilates)
+    sx, sy = ((1, 1), (-1, -1), (1, -1), (-1, 1))[dilates.index(best)]
+    (r1a, r1b), (r2a, r2b) = reduce_map.matrix
+    flipped = ((sx * r1a, sx * r1b), (sy * r2a, sy * r2b))
+    shift = (-min_x if sx > 0 else max_x, -min_y if sy > 0 else max_y)
+    cert_simplex = ContainmentCertificate(
+        UnimodularMap(flipped, (_unscaled(shift[0], D), _unscaled(shift[1], D))),
+        SIMPLEX, _unscaled(best, D))
+    return InvariantsReport(
+        width=_unscaled(width(S, basis.u1), D), ls_square=square_side,
+        ls_simplex=_unscaled(best, D), area=area(P), basis=basis,
+        cert_square=cert_square, cert_simplex=cert_simplex)
+
+
+def _numbers(rep):
+    return (rep.width, rep.ls_square, rep.ls_simplex, rep.area,
+            rep.cert_square.dilate, *rep.cert_square.map.translation,
+            rep.cert_simplex.dilate, *rep.cert_simplex.map.translation)
+
+
+class TestFrameRead:
+    """invariants reads its report off the reduced frame coordinates; the
+    image-polygon path must give the same report, field by field and
+    type by type."""
+
+    @staticmethod
+    def check(P):
+        got, want = invariants(P), image_invariants(P)
+        assert got == want, P
+        assert [type(x) for x in _numbers(got)] == [type(x) for x in _numbers(want)], P
+        assert got.cert_square.verify(P) and got.cert_simplex.verify(P)
+
+    def test_small_grid(self):
+        for P in enumerate_convex(3, include_degenerate=True):
+            if len(P.vertices) > 1:
+                self.check(P)
+
+    def test_rational(self):
+        for P in RATIONAL_POLYGONS:
+            if len(P.vertices) > 1:
+                self.check(P)
+
+    def test_sheared(self):
+        rng = random.Random(103)
+        rational = [P for P in RATIONAL_POLYGONS if P.dim > 0]
+        for i in range(200):
+            P = random_lattice_polygon(rng) if i % 2 else rng.choice(rational)
+            self.check(random_shear(rng, P))
+
+    def test_no_image_polygon(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(latticesize.size, "apply_map",
+                            counted("apply_map", latticesize.size.apply_map))
+        monkeypatch.setattr(latticesize.geometry, "hull",
+                            counted("hull", latticesize.geometry.hull))
+        for P in (pentagon, quad, RATIONAL_POLYGONS[5]):
+            invariants(P)
+        assert calls == []
 
 
 class TestCheckTouch:
