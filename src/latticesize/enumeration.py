@@ -59,7 +59,13 @@ def enumerate_anchored(n: int) -> Iterator[ConvexPolygon]:
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"grid size must be a positive integer, got {n!r}")
     return (ConvexPolygon._trusted(tuple(Point(x, y) for x, y in chain))
-            for chain in _chains(n, True, anchored=True) if min(y for _, y in chain) == 0)
+            for chain in _anchored_chains(n))
+
+
+def _anchored_chains(n: int) -> Iterator[tuple]:
+    """The vertex tuples of enumerate_anchored(n), as integer pairs."""
+    return (chain for chain in _chains(n, True, anchored=True)
+            if min(y for _, y in chain) == 0)
 
 
 def _chains(n: int, include_degenerate: bool, anchored: bool = False) -> Iterator[tuple]:

@@ -173,7 +173,7 @@ def area(P: ConvexPolygon) -> Fraction:
     for i, v in enumerate(vs):
         w = vs[(i + 1) % len(vs)]
         s += v.x * w.y - w.x * v.y
-    return Fraction(s) / 2
+    return Fraction(s, 2)
 
 
 def width(P: ConvexPolygon, u: IntVec) -> Coord:

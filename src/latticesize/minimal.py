@@ -15,12 +15,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Literal
 
-from .enumeration import enumerate_anchored, map_polygons
+from .enumeration import _anchored_chains, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
-from .geometry import ConvexPolygon, hull, width
-from .oracle import canonical_form, is_minimal
+from .geometry import ConvexPolygon, Point, hull
+from .oracle import _cycle, canonical_form, is_minimal
 
 Kind = Literal["segment", "triangle", "quad"]
 
@@ -154,13 +155,51 @@ class ClassificationReport:
         return not self.only_in_families and not self.only_in_search
 
 
+# the symmetries of the square other than the identity, as (swap the
+# axes, then mirror x, then mirror y)
+_SYMMETRIES = tuple(itertools.product((False, True), repeat=3))[1:]
+
+
+def _has_long_pair(h: int, vs: tuple) -> bool:
+    """Whether two of the vertices vs differ by a vector whose gcd is at
+    least h, i.e. span a segment of lattice length at least h."""
+    return any(gcd(x1 - x2, y1 - y2) >= h
+               for (x1, y1), (x2, y2) in itertools.combinations(vs, 2))
+
+
+def _has_smaller_image(vs: tuple) -> bool:
+    """Whether a symmetry of the square maps the polygon with vertex
+    tuple vs, both coordinate minima 0, to a lexicographically smaller
+    vertex tuple once translated back to minima 0."""
+    xs = [x for x, _ in vs]
+    ys = [y for _, y in vs]
+    for swap, fx, fy in _SYMMETRIES:
+        a, b = (ys, xs) if swap else (xs, ys)
+        if fx:
+            top = max(a)
+            a = [top - x for x in a]
+        if fy:
+            top = max(b)
+            b = [top - y for y in b]
+        if _cycle(list(zip(a, b)), swap ^ fx ^ fy) < vs:
+            return True
+    return False
+
+
+def _may_sweep(h: int, vs: tuple) -> bool:
+    """Whether the polygon with vertex tuple vs, both coordinate minima 0,
+    can be the canonical form of a minimal polygon of square size h;
+    the rejections are argued in verify_classification."""
+    # the square size never exceeds the larger axis span
+    if len(vs) == 1 or max(max(v) for v in vs) < h:
+        return False
+    if len(vs) >= 3 and _has_long_pair(h, vs):
+        return False
+    return not _has_smaller_image(vs)
+
+
 def _sweep_one(h: int, P: ConvexPolygon) -> ConvexPolygon | None:
     """Canonical form if P is a minimal polygon of square size h."""
-    if len(P.vertices) == 1:
-        return None
-    # the square size never exceeds the larger axis span
-    if max(width(P, (1, 0)), width(P, (0, 1))) < h:
-        return None
     if not is_minimal(P):
         return None
     # a canonical form has both coordinate minima 0 and fits the corner
@@ -175,17 +214,34 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
                           jobs: int = 1) -> ClassificationReport:
     """Compare the generated classes with an exhaustive minimality sweep.
 
-    Every equivalence class of square size h has its canonical form
+    Every equivalence class of square size h has its canonical form C
     inside the corner square of side h, so sweeping the full grid
     {0..h}^2 (degenerate members included) meets each class at least
-    once.  A canonical form also has both coordinate minima 0, so the
-    sweep keeps only the grid's polygons whose lexicographically smallest
-    vertex lies in the column x = 0 and whose smallest y is 0
-    (enumerate_anchored): each class still meets it through its canonical
-    form, and every polygon it meets gets the same test, so the class
-    set is the full grid's.  The sweep cost grows quickly with h, hence
-    the guard; raise the limit explicitly for a longer run, and pass
-    several jobs to spread the sweep over worker processes (see
+    once.  The sweep tests only polygons that can be such a C, and every
+    polygon it tests gets the full test, so its class set is the full
+    grid's:
+
+    - C has both coordinate minima 0, so only the grid's polygons whose
+      lexicographically smallest vertex lies in the column x = 0 and
+      whose smallest y is 0 are generated (enumerate_anchored).
+    - A single point has square size 0, and a polygon whose axis spans
+      are both below h has square size below h.
+    - A polygon with at least 3 vertices, two of which differ by a vector
+      whose gcd is at least h, is not minimal: dropping a third vertex
+      keeps the segment between those two, of lattice length at least
+      h, and square size is monotone under inclusion, so the drop keeps
+      square size h.
+    - Each symmetry of the square, followed by the translation back to
+      minima 0, maps C to a unimodular image of the same polygon inside
+      the same corner square, and C is the lexicographically smallest of
+      those images.  So C is no larger than any of its 7 other images,
+      and a polygon with a strictly smaller image is not a canonical form.
+
+    Only the generator's integer vertex tuples that pass these tests
+    become polygons, lazily, and go through is_minimal and
+    canonical_form.  The sweep cost grows quickly with h, hence the
+    guard; raise the limit explicitly for a longer run, and pass several
+    jobs to spread the minimality tests over worker processes (see
     map_polygons).
     """
     if not isinstance(h, int) or h < 1:
@@ -194,8 +250,9 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
         raise ResourceLimitError(
             f"classification sweep for h={h} exceeds the limit {limit}; "
             "pass a larger limit to run it anyway")
-    stream = enumerate_anchored(h)
-    found = set(map_polygons(functools.partial(_sweep_one, h), stream, jobs))
+    candidates = (ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
+                  for vs in _anchored_chains(h) if _may_sweep(h, vs))
+    found = set(map_polygons(functools.partial(_sweep_one, h), candidates, jobs))
     found.discard(None)
     family = tuple(generate_minimal(h))
     search = tuple(sorted(found, key=_class_key))

@@ -135,6 +135,16 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     return _unscaled(best, D)
 
 
+def _cycle(image: list, flipped: bool) -> tuple:
+    """A polygon's vertex cycle mapped to image, as a tuple in canonical
+    vertex order: reversed when the map has determinant -1 (flipped),
+    then rotated to start at its lexicographically smallest vertex."""
+    if flipped:
+        image.reverse()
+    k = image.index(min(image))
+    return tuple(image[k:] + image[:k])
+
+
 def _normalized_images(P: ConvexPolygon, side, basis: LatticeBasis) -> Iterator[tuple]:
     """Vertex tuples of every unimodular image of the lattice polygon P
     inside the side-sized corner square, translated so both coordinate
@@ -146,7 +156,7 @@ def _normalized_images(P: ConvexPolygon, side, basis: LatticeBasis) -> Iterator[
     counterclockwise orientation when the linear part, sign flips
     included, has determinant +1 and turns clockwise when it has -1, in
     which case it is reversed; rotating it to start at its lexicographic
-    minimum then gives the tuple hull would return.
+    minimum then gives the tuple hull would return (_cycle).
     """
     dirs = candidate_directions(P, side, basis)
     dots = {u: [u[0] * v.x + u[1] * v.y for v in P.vertices] for u in dirs}
@@ -162,11 +172,8 @@ def _normalized_images(P: ConvexPolygon, side, basis: LatticeBasis) -> Iterator[
                 for sy in (1, -1):
                     ys = [sy * b for b in dv]
                     my = min(ys)
-                    image = [(x - mx, y - my) for x, y in zip(xs, ys)]
-                    if det * sx * sy < 0:
-                        image.reverse()
-                    k = image.index(min(image))
-                    yield tuple(image[k:] + image[:k])
+                    yield _cycle([(x - mx, y - my) for x, y in zip(xs, ys)],
+                                 det * sx * sy < 0)
 
 
 def canonical_form(P: ConvexPolygon) -> ConvexPolygon:

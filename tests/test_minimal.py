@@ -19,7 +19,14 @@ from latticesize import (
     triangle_minimal,
     verify_classification,
 )
-from latticesize.minimal import quad_reflect_params
+from latticesize.enumeration import _anchored_chains, enumerate_anchored
+from latticesize.geometry import width
+from latticesize.minimal import (
+    _has_long_pair,
+    _has_smaller_image,
+    _may_sweep,
+    quad_reflect_params,
+)
 
 
 class TestRealize:
@@ -180,3 +187,46 @@ class TestVerification:
             verify_classification(0)
         with pytest.raises(InvalidInputError):
             verify_classification(1, jobs=0)
+
+
+def _unfiltered_sweep_one(h, P):
+    """The sweep's per-polygon test before its rejections on vertex tuples."""
+    if len(P.vertices) == 1:
+        return None
+    if max(width(P, (1, 0)), width(P, (0, 1))) < h:
+        return None
+    if not is_minimal(P):
+        return None
+    C = canonical_form(P)
+    return C if max(max(v.x, v.y) for v in C.vertices) == h else None
+
+
+class TestSweepFilters:
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_classes_match_unfiltered_sweep(self, h):
+        unfiltered = {_unfiltered_sweep_one(h, P) for P in enumerate_anchored(h)}
+        unfiltered.discard(None)
+        report = verify_classification(h)
+        assert set(report.search_classes) == unfiltered
+        assert report.matches
+
+    @pytest.mark.parametrize("h,count", [(1, 2), (2, 6), (3, 69), (4, 871), (5, 9_971)])
+    def test_survivor_counts(self, h, count):
+        # a filter that rejects too little keeps the class set, so only
+        # the count of polygons left to test shows it
+        assert sum(1 for vs in _anchored_chains(h) if _may_sweep(h, vs)) == count
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_pair_rejections_are_not_minimal(self, h):
+        rejected = [vs for vs in _anchored_chains(h)
+                    if len(vs) >= 3 and _has_long_pair(h, vs)]
+        assert rejected
+        assert not any(is_minimal(hull(vs)) for vs in rejected)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_dihedral_rejections_are_not_canonical(self, h):
+        rejected = [vs for vs in _anchored_chains(h) if _has_smaller_image(vs)]
+        assert rejected
+        for vs in rejected:
+            P = hull(vs)
+            assert canonical_form(P) != P
