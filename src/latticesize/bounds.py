@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import DegenerateInputError, InvalidInputError
 from .geometry import ConvexPolygon, Coord, _norm, hull
 from .oracle import lattice_equivalent
-from .size import invariants
+from .size import _report
 
 
 class EqualityFamily(Enum):
@@ -81,7 +81,7 @@ def extremal_family(P: ConvexPolygon) -> EqualityFamily | None:
     """
     if not P.is_lattice:
         raise InvalidInputError("family membership is tested for lattice polygons")
-    report = invariants(P)
+    report = _report(P)
     l = report.ls_simplex
     if l >= 1 and lattice_equivalent(P, thin_triangle(l)):
         return EqualityFamily.THIN_TRIANGLE
@@ -99,7 +99,7 @@ def check_bounds(P: ConvexPolygon) -> BoundsReport:
     """Evaluate every applicable bound on a full-dimensional polygon."""
     if P.dim != 2:
         raise DegenerateInputError("bounds apply to full-dimensional polygons")
-    rep = invariants(P)
+    rep = _report(P)
     a = rep.area
     slack_wh = _norm(a - Fraction(3, 8) * rep.width * rep.ls_square)
     slack_wl = _norm(a - Fraction(1, 4) * rep.width * rep.ls_simplex)

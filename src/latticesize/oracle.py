@@ -8,8 +8,8 @@ map that could do at least as well.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
-from typing import Iterator
 
 from .errors import DegenerateInputError, InvalidInputError
 from .geometry import (
@@ -20,15 +20,15 @@ from .geometry import (
     IntVec,
     Point,
     Target,
+    _norm,
     _scaled,
     _unscaled,
     area,
     drop_vertex,
     hull,
-    width,
 )
-from .reduction import LatticeBasis, gauss_reduce
-from .size import flip_dilates, invariants, ls_square
+from .reduction import LatticeBasis
+from .size import _MEMO, _report, flip_dilates, ls_square
 
 
 def candidate_directions(P: ConvexPolygon, cap, basis: LatticeBasis) -> list[IntVec]:
@@ -108,17 +108,21 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     search beyond what the optimum needs, and its basis as the frame of
     the direction scan, which any unimodular frame would do as well.  A
     rational polygon is searched as its integer multiple D*P, whose
-    dilates are D times those of P.
+    dilates are D times those of P.  Cap and frame come from P's memoized
+    report, and the square search scans the directions the canonical
+    form scans (_square_directions), so a query reduces P once.
     """
     if P.dim != 2:
         raise DegenerateInputError("exhaustive search needs a full-dimensional polygon")
     if target not in (SQUARE, SIMPLEX):
         raise InvalidInputError(f"unknown target {target!r}")
-    D, P = _scaled(P)
-    report = invariants(P)
-    cap = report.ls_square if target == SQUARE else report.ls_simplex
-    dirs = candidate_directions(P, cap, report.basis)
-    dots = {u: [u[0] * v.x + u[1] * v.y for v in P.vertices] for u in dirs}
+    D, S = _scaled(P)
+    if target == SQUARE:
+        dirs = _square_directions(P)
+    else:
+        report = _report(P)
+        dirs = candidate_directions(S, _norm(D * report.ls_simplex), report.basis)
+    dots = {u: [u[0] * v.x + u[1] * v.y for v in S.vertices] for u in dirs}
     spread = {u: max(d) - min(d) for u, d in dots.items()}
     best = None
     for i, u in enumerate(dirs):
@@ -135,6 +139,16 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     return _unscaled(best, D)
 
 
+@lru_cache(maxsize=_MEMO)
+def _square_directions(P: ConvexPolygon) -> tuple[IntVec, ...]:
+    """candidate_directions(D*P, D*ls_square(P), basis) for the reduced
+    basis of P, memoized for the last _MEMO polygons: the square search
+    and the canonical form scan the same directions."""
+    report = _report(P)
+    D, S = _scaled(P)
+    return tuple(candidate_directions(S, _norm(D * report.ls_square), report.basis))
+
+
 def _cycle(image: list, flipped: bool) -> tuple:
     """A polygon's vertex cycle mapped to image, as a tuple in canonical
     vertex order: reversed when the map has determinant -1 (flipped),
@@ -145,10 +159,11 @@ def _cycle(image: list, flipped: bool) -> tuple:
     return tuple(image[k:] + image[:k])
 
 
-def _normalized_images(P: ConvexPolygon, side, basis: LatticeBasis) -> Iterator[tuple]:
-    """Vertex tuples of every unimodular image of the lattice polygon P
-    inside the side-sized corner square, translated so both coordinate
-    minima are zero, as tuples of integer pairs in canonical order.
+def _least_image(P: ConvexPolygon, dirs) -> tuple:
+    """The least vertex tuple among the images of the lattice polygon P
+    under the unimodular maps whose rows are two directions of dirs, each
+    up to sign, translated so both coordinate minima are zero, as tuples
+    of integer pairs in canonical order.
 
     An affine bijection keeps three points collinear exactly when they
     were, so the image of P's strictly convex vertex cycle is again a
@@ -157,23 +172,40 @@ def _normalized_images(P: ConvexPolygon, side, basis: LatticeBasis) -> Iterator[
     included, has determinant +1 and turns clockwise when it has -1, in
     which case it is reversed; rotating it to start at its lexicographic
     minimum then gives the tuple hull would return (_cycle).
+
+    That tuple starts at (0, c), c the least translated y among the
+    vertices on the image's x-minimum, and c is read off the rows before
+    the image is built: an image whose c exceeds that of the best tuple
+    so far is larger than it, and is skipped.
     """
-    dirs = candidate_directions(P, side, basis)
     dots = {u: [u[0] * v.x + u[1] * v.y for v in P.vertices] for u in dirs}
+    ends = {}   # each row's minimum and maximum, and the vertices on them
+    for u, d in dots.items():
+        lo, hi = min(d), max(d)
+        ends[u] = (lo, hi, [i for i, t in enumerate(d) if t == lo],
+                   [i for i, t in enumerate(d) if t == hi])
+    best, least = None, None    # the best tuple so far and its c
     for u in dirs:
+        du = dots[u]
+        lo_u, hi_u, on_lo, on_hi = ends[u]
         for v in dirs:
             det = u[0] * v[1] - u[1] * v[0]
             if det not in (1, -1):
                 continue
-            du, dv = dots[u], dots[v]
-            for sx in (1, -1):
-                xs = [sx * a for a in du]
-                mx = min(xs)
-                for sy in (1, -1):
-                    ys = [sy * b for b in dv]
-                    my = min(ys)
-                    yield _cycle([(x - mx, y - my) for x, y in zip(xs, ys)],
-                                 det * sx * sy < 0)
+            dv = dots[v]
+            lo_v, hi_v = ends[v][:2]
+            for sx, mx, edge in ((1, lo_u, on_lo), (-1, -hi_u, on_hi)):
+                # the y-row of the vertices on the image's x-minimum
+                column = [dv[i] for i in edge]
+                for sy, my in ((1, lo_v), (-1, -hi_v)):
+                    c = min(column) - lo_v if sy > 0 else hi_v - max(column)
+                    if best is not None and c > least:
+                        continue
+                    image = _cycle([(sx * a - mx, sy * b - my) for a, b in zip(du, dv)],
+                                   det * sx * sy < 0)
+                    if best is None or image < best:
+                        best, least = image, c
+    return best
 
 
 def canonical_form(P: ConvexPolygon) -> ConvexPolygon:
@@ -190,12 +222,17 @@ def canonical_form(P: ConvexPolygon) -> ConvexPolygon:
     if P.dim == 1:
         # of the four images that fit the bounding square, the vertical
         # segment from the origin is the lexicographic minimum
-        length = ls_square(P)
-        return hull([Point(0, 0), Point(0, length)])
-    D, P = _scaled(P)
-    basis = gauss_reduce(P)
-    side = width(P, basis.u2)
-    best = min(_normalized_images(P, side, basis))
+        return hull([Point(0, 0), Point(0, _report(P).ls_square)])
+    return _canonical(P)
+
+
+@lru_cache(maxsize=_MEMO)
+def _canonical(P: ConvexPolygon) -> ConvexPolygon:
+    """canonical_form of a full-dimensional P, memoized for the last _MEMO
+    polygons, so that extremal_family builds P's form once for all the
+    families it compares P with."""
+    D, S = _scaled(P)
+    best = _least_image(S, _square_directions(P))
     return ConvexPolygon._trusted(
         tuple(Point(_unscaled(x, D), _unscaled(y, D)) for x, y in best))
 

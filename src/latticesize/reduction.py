@@ -90,8 +90,16 @@ def gauss_reduce(P: ConvexPolygon) -> LatticeBasis:
     The result (u1, u2) has width(u1) <= width(u2), and neither u2 + u1
     nor u2 - u1 is narrower than u2.  Points reduce to the standard
     basis; a segment yields its primitive normal direction (width zero)
-    as u1.  The two widths are carried from round to round, so only a
-    shifted u2 is measured afresh.
+    as u1.
+    """
+    return _reduce(P)[0]
+
+
+def _reduce(P: ConvexPolygon) -> tuple[LatticeBasis, Coord, Coord]:
+    """gauss_reduce's basis (u1, u2) with width(P, u1) and width(P, u2).
+
+    The two widths are carried from round to round, so only a shifted u2
+    is measured afresh, and neither is measured again at the end.
     """
     u1, u2 = (1, 0), (0, 1)
     w1, w2 = width(P, u1), width(P, u2)
@@ -105,7 +113,7 @@ def gauss_reduce(P: ConvexPolygon) -> LatticeBasis:
         if w2 < w1:
             u1, u2, w1, w2 = u2, u1, w2, w1
         else:
-            return LatticeBasis(u1, u2)
+            return LatticeBasis(u1, u2), w1, w2
     raise RuntimeError("basis reduction failed to converge")  # pragma: no cover
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .geometry import (
     SIMPLEX,
@@ -30,10 +31,17 @@ from .geometry import (
     contained_in_dilate,
     width,
 )
-from .reduction import LatticeBasis, gauss_reduce
+from .reduction import LatticeBasis, _reduce, gauss_reduce
 
 # axis signs (x, y) of the four flips, in the order of flip_dilates
 _FLIPS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+# Polygons whose report, square directions and canonical form stay
+# memoized (_report here, oracle._square_directions and oracle._canonical):
+# enough for the public calls of one query, and of the family members
+# check_bounds compares with, to share one reduction, and far fewer than
+# any sweep or corpus holds.
+_MEMO = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +94,7 @@ def lattice_width(P: ConvexPolygon) -> Coord:
     if len(P.vertices) == 1:
         return 0
     D, P = _scaled(P)
-    return _unscaled(width(P, gauss_reduce(P).u1), D)
+    return _unscaled(_reduce(P)[1], D)
 
 
 def ls_square(P: ConvexPolygon) -> Coord:
@@ -94,11 +102,19 @@ def ls_square(P: ConvexPolygon) -> Coord:
     if len(P.vertices) == 1:
         return 0
     D, P = _scaled(P)
-    return _unscaled(width(P, gauss_reduce(P).u2), D)
+    return _unscaled(_reduce(P)[2], D)
 
 
 def invariants(P: ConvexPolygon) -> InvariantsReport:
     """Lattice width, both lattice sizes, area, and witnessing maps."""
+    return _report(P)
+
+
+@lru_cache(maxsize=_MEMO)
+def _report(P: ConvexPolygon) -> InvariantsReport:
+    """invariants(P), memoized for the last _MEMO polygons: the brute-force
+    search, check_bounds, extremal_family and canonical_form read their
+    caps, basis and widths from it, so one query reduces P once."""
     if len(P.vertices) == 1:
         v = P.vertices[0]
         to_origin = UnimodularMap(((1, 0), (0, 1)), (-v.x, -v.y))

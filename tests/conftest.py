@@ -5,10 +5,21 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from latticesize import ConvexPolygon, UnimodularMap, apply_map, enumerate_convex, hull
+from latticesize import oracle, size
 
 settings.register_profile(
     "exact", deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 settings.load_profile("exact")
+
+# the package's per-process memos of its last few polygons
+MEMOS = (size._report, oracle._square_directions, oracle._canonical)
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts from empty memos, so none sees another's entries."""
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def random_unimodular(rng: random.Random, shear: int = 4) -> UnimodularMap:

@@ -1,6 +1,7 @@
 """Golden CLI output of the classification commands.
 
-`minimal --h 1..5` in both modes and `corpus-check --n 2` go through
+`minimal --h 1..5` in both modes, `corpus-check --n 2` and the
+serial `corpus-check --n 3 --jobs 1` go through
 cli.main; each run's exit code, stdout and stderr are reduced to a
 SHA-256, recorded in golden_minimal.json.  A faster sweep must leave
 every byte and exit code as it was.  Regenerate the file only for an
@@ -22,7 +23,7 @@ from latticesize import cli
 GOLDEN = pathlib.Path(__file__).with_name("golden_minimal.json")
 RUNS = ([f"minimal --h {h} --mode verify" for h in range(1, 6)]
         + [f"minimal --h {h} --mode generate" for h in range(1, 6)]
-        + ["corpus-check --n 2"])
+        + ["corpus-check --n 2", "corpus-check --n 3 --jobs 1"])
 
 
 def _digest(command: str) -> str:

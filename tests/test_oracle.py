@@ -1,20 +1,30 @@
+import dataclasses
+import functools
+import importlib
+import importlib.util
 import itertools
+import pathlib
 import random
+import types
 from math import gcd
 
 import pytest
 
-import latticesize.oracle
+import latticesize.reduction
 import latticesize.size
 from latticesize import (
     SIMPLEX,
     SQUARE,
     DegenerateInputError,
+    EqualityFamily,
     InvalidInputError,
     LatticeBasis,
+    Point,
+    UnimodularMap,
     apply_map,
     brute_force_lattice_size,
     canonical_form,
+    check_bounds,
     enumerate_convex,
     gauss_reduce,
     hull,
@@ -23,16 +33,20 @@ from latticesize import (
     lattice_equivalent,
     lattice_points,
     ls_square,
+    thin_triangle,
     width,
 )
-from latticesize.geometry import _scaled
-from latticesize.oracle import candidate_directions
+from latticesize.geometry import _scaled, _unscaled
+from latticesize.oracle import _cycle, candidate_directions
+from latticesize.size import _MEMO
 from conftest import (
+    MEMOS,
     random_lattice_polygon,
     random_rational_polygon,
     random_shear,
     random_unimodular,
 )
+from test_rational import POLYGONS as RATIONAL_POLYGONS
 
 tri = hull([(0, 0), (1, 2), (2, 1)])
 pentagon = hull([(4, 0), (5, 0), (2, 2), (0, 3), (1, 2)])
@@ -186,7 +200,32 @@ class TestDirectionScan:
         assert on_bound > 0   # the bound is reached, not just safe
 
 
+def _query(P):
+    """The five public calls of one oracle query, in the benchmark's order."""
+    return (invariants(P), brute_force_lattice_size(P, SQUARE),
+            brute_force_lattice_size(P, SIMPLEX), check_bounds(P), canonical_form(P))
+
+
+def _count_reductions(monkeypatch) -> list:
+    """Record the polygon of every basis reduction from here on: gauss_reduce
+    and the memo-free reduction of ls_square and lattice_width both go
+    through reduction._reduce."""
+    polygons = []
+    reduce = latticesize.reduction._reduce
+
+    def counted(P):
+        polygons.append(P)
+        return reduce(P)
+
+    for module in (latticesize.reduction, latticesize.size):
+        monkeypatch.setattr(module, "_reduce", counted)
+    return polygons
+
+
 class TestOneReduction:
+    """From a cold memo, every public call reduces its polygon once, and so
+    does a whole query: its calls share one report."""
+
     @pytest.mark.parametrize("query", [
         invariants,
         lambda P: brute_force_lattice_size(P, SQUARE),
@@ -194,17 +233,87 @@ class TestOneReduction:
         canonical_form,
     ], ids=["invariants", "brute-square", "brute-simplex", "canonical"])
     def test_reduces_once(self, monkeypatch, query):
-        polygons = []
-
-        def counted(P):
-            polygons.append(P)
-            return gauss_reduce(P)
-
-        for module in (latticesize.size, latticesize.oracle):
-            monkeypatch.setattr(module, "gauss_reduce", counted)
+        polygons = _count_reductions(monkeypatch)
         for P in (pentagon, quad):
             query(P)
         assert polygons == [pentagon, quad]
+
+    def test_query_reduces_once(self, monkeypatch):
+        polygons = _count_reductions(monkeypatch)
+        for P in (pentagon, quad):
+            _query(P)
+        assert polygons == [pentagon, quad]
+
+    def test_tight_query_reduces_each_polygon_once(self, monkeypatch):
+        # check_bounds compares a tight P with its family member, whose
+        # canonical form needs one reduction of its own
+        P = apply_map(UnimodularMap(((1, 3), (0, 1)), (2, -1)), thin_triangle(4))
+        polygons = _count_reductions(monkeypatch)
+        assert _query(P)[3].equality_family is EqualityFamily.THIN_TRIANGLE
+        assert polygons == [P, thin_triangle(4)]
+
+
+def _typed(value):
+    """value with the type of every field, element and number beside it,
+    so that 1 and Fraction(1) compare unequal."""
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(_typed(getattr(value, f.name))
+                                  for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(_typed(v) for v in value)
+    return type(value), value
+
+
+class TestMemo:
+    """The memos of size and oracle hold the last _MEMO polygons; a hit
+    must return what a cold computation would, and nothing the benchmark
+    tracer wraps may be a memo."""
+
+    @staticmethod
+    def calls(P):
+        calls = [invariants]
+        if P.dim == 2:
+            calls += [functools.partial(brute_force_lattice_size, target=SQUARE),
+                      functools.partial(brute_force_lattice_size, target=SIMPLEX),
+                      check_bounds]
+        return calls + [canonical_form]
+
+    def check(self, polygons):
+        for P in polygons:
+            warm = [_typed(call(P)) for call in self.calls(P)]
+            cold = []
+            for call in self.calls(P):
+                for memo in MEMOS:
+                    memo.cache_clear()
+                cold.append(_typed(call(P)))
+            assert warm == cold, P
+
+    def test_rational_memoized_equals_cold(self):
+        self.check(RATIONAL_POLYGONS)
+
+    def test_sheared_memoized_equals_cold(self):
+        rng = random.Random(107)
+        self.check([random_shear(rng, random_lattice_polygon(rng)) for _ in range(200)])
+
+    def test_bounded(self):
+        for P in enumerate_convex(3, include_degenerate=True):
+            invariants(P)
+            canonical_form(P)
+            if P.dim == 2:
+                brute_force_lattice_size(P, SQUARE)
+                check_bounds(P)
+            assert all(memo.cache_info().currsize <= _MEMO for memo in MEMOS), P
+        assert all(memo.cache_info().currsize == _MEMO for memo in MEMOS)
+
+    def test_traced_functions_stay_plain(self):
+        # the tracer's self-check reads fn.__code__, which a memo lacks
+        path = pathlib.Path(__file__).parents[1] / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module, name in tracer.TRACED:
+            fn = getattr(importlib.import_module(f"latticesize.{module}"), name)
+            assert isinstance(fn, types.FunctionType), f"{module}.{name}"
 
 
 class TestBruteForce:
@@ -234,6 +343,49 @@ class TestBruteForce:
             rep = invariants(P)
             assert brute_force_lattice_size(P, SQUARE) == rep.ls_square
             assert brute_force_lattice_size(P, SIMPLEX) == rep.ls_simplex
+
+
+def _normalized_images(P, side, basis):
+    """Every image the canonical form chooses from, built in full: the
+    generator whose minimum canonical_form took before _least_image."""
+    dirs = candidate_directions(P, side, basis)
+    dots = {u: [u[0] * v.x + u[1] * v.y for v in P.vertices] for u in dirs}
+    for u in dirs:
+        for v in dirs:
+            det = u[0] * v[1] - u[1] * v[0]
+            if det not in (1, -1):
+                continue
+            du, dv = dots[u], dots[v]
+            for sx in (1, -1):
+                xs = [sx * a for a in du]
+                mx = min(xs)
+                for sy in (1, -1):
+                    ys = [sy * b for b in dv]
+                    my = min(ys)
+                    yield _cycle([(x - mx, y - my) for x, y in zip(xs, ys)],
+                                 det * sx * sy < 0)
+
+
+class TestLeastImage:
+    """canonical_form skips images that cannot be least; it must pick the
+    minimum of every image, built."""
+
+    @staticmethod
+    def check(P):
+        D, S = _scaled(P)
+        basis = gauss_reduce(S)
+        least = min(_normalized_images(S, width(S, basis.u2), basis))
+        want = tuple(Point(_unscaled(x, D), _unscaled(y, D)) for x, y in least)
+        assert canonical_form(P).vertices == want, P
+
+    def test_grid(self):
+        for P in enumerate_convex(4):
+            self.check(P)
+
+    def test_rational(self):
+        for P in RATIONAL_POLYGONS:
+            if P.dim == 2:
+                self.check(P)
 
 
 class TestCanonicalForm:
