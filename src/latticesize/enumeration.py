@@ -4,12 +4,15 @@ Chains of grid points whose edge directions strictly advance in angle,
 grown depth-first from each possible lexicographically smallest vertex,
 visit every strictly convex polygon exactly once, already in canonical
 vertex order.  Counts are cross-checked against subset brute force in
-the test suite.  map_polygons runs a per-polygon function over such a
-stream, in this process or over a pool of worker processes.
+the test suite.  Grown only from the column x = 0 and pruned, the same
+chains give the vertex tuples of the polygons whose coordinate minima
+are both 0 (_anchored_chains), which the minimal-classification sweep
+runs on.  map_polygons runs a function over a stream of polygons or of
+their vertex tuples, in this process or over a pool of worker
+processes.
 """
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 from typing import Callable, Iterable, Iterator
@@ -19,7 +22,7 @@ from .geometry import ConvexPolygon, Point
 from .oracle import canonical_form
 
 DEFAULT_GRID_LIMIT = 5
-_BATCH = 256  # polygons per worker task when mapping over a pool
+_BATCH = 256  # items per worker task when mapping over a pool
 
 
 def enumerate_convex(n: int, include_degenerate: bool = False,
@@ -37,9 +40,10 @@ def enumerate_convex(n: int, include_degenerate: bool = False,
             for chain in _chains(n, include_degenerate))
 
 
-def enumerate_anchored(n: int) -> Iterator[ConvexPolygon]:
-    """The members of enumerate_convex(n, include_degenerate=True) whose
-    coordinate minima are both 0, in the same order.
+def _anchored_chains(n: int) -> Iterator[tuple]:
+    """The vertex tuples of the members of enumerate_convex(n,
+    include_degenerate=True) whose coordinate minima are both 0, as
+    integer pairs, in the same order.
 
     Such a polygon starts at a vertex v0 in the column x = 0, so only
     chains from there are grown, and those whose smallest y is not 0 are
@@ -58,12 +62,6 @@ def enumerate_anchored(n: int) -> Iterator[ConvexPolygon]:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"grid size must be a positive integer, got {n!r}")
-    return (ConvexPolygon._trusted(tuple(Point(x, y) for x, y in chain))
-            for chain in _anchored_chains(n))
-
-
-def _anchored_chains(n: int) -> Iterator[tuple]:
-    """The vertex tuples of enumerate_anchored(n), as integer pairs."""
     return (chain for chain in _chains(n, True, anchored=True)
             if min(y for _, y in chain) == 0)
 
@@ -71,7 +69,7 @@ def _anchored_chains(n: int) -> Iterator[tuple]:
 def _chains(n: int, include_degenerate: bool, anchored: bool = False) -> Iterator[tuple]:
     """Chains from each grid point in x-major order as their
     lexicographically smallest vertex; with anchored, only from the
-    column x = 0, pruned as enumerate_anchored describes."""
+    column x = 0, pruned as _anchored_chains describes."""
     grid = [(x, y) for x in range(n + 1) for y in range(n + 1)]
     for i, v0 in enumerate(grid[:n + 1] if anchored else grid):
         if include_degenerate:
@@ -106,7 +104,7 @@ def _grow(v0, chain, pool, lowest=0) -> Iterator[tuple]:
 
     lowest is the chain's smallest y when only polygons reaching y = 0
     are wanted, and 0 otherwise; while it is positive, an edge c -> w
-    that does not head down ends the chain (see enumerate_anchored).
+    that does not head down ends the chain (see _anchored_chains).
     """
     x0, y0 = v0
     fx, fy = chain[1][0] - x0, chain[1][1] - y0
@@ -148,33 +146,23 @@ def _distinct_classes(stream: Iterator[ConvexPolygon]) -> Iterator[ConvexPolygon
             yield c
 
 
-def map_polygons(fn: Callable[[ConvexPolygon], object],
-                 polygons: Iterable[ConvexPolygon], jobs: int) -> Iterator:
-    """fn(P) for every polygon of the stream, in stream order.
+def map_polygons(fn: Callable, polygons: Iterable, jobs: int) -> Iterator:
+    """fn(item) for every item of the stream, in stream order.
 
-    One job maps in this process.  More jobs, capped at the CPU count,
-    spread the stream over a process pool in batches of vertex tuples, so
-    fn must then be picklable (a module-level function or a partial of
-    one) and so must its results.
+    The items are polygons or their vertex tuples.  One job maps in this
+    process.  More jobs, capped at the CPU count, spread the stream over
+    a process pool in chunks of _BATCH items, so fn must then be
+    picklable (a module-level function or a partial of one) and so must
+    the items and the results.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise InvalidInputError(f"worker count must be a positive integer, got {jobs!r}")
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1:
         return map(fn, polygons)
-    return _pooled(fn, iter(polygons), jobs)
+    return _pooled(fn, polygons, jobs)
 
 
-def _pooled(fn, polygons: Iterator[ConvexPolygon], jobs: int) -> Iterator:
-    # iter(f, []) calls f until it returns an empty batch
-    batches = iter(lambda: [tuple((v.x, v.y) for v in P.vertices)
-                            for P in itertools.islice(polygons, _BATCH)], [])
+def _pooled(fn, items: Iterable, jobs: int) -> Iterator:
     with multiprocessing.Pool(jobs) as pool:
-        for results in pool.imap(_map_batch, ((fn, batch) for batch in batches)):
-            yield from results
-
-
-def _map_batch(task) -> list:
-    fn, batch = task
-    return [fn(ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs)))
-            for vs in batch]
+        yield from pool.imap(fn, items, chunksize=_BATCH)

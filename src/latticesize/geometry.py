@@ -4,7 +4,10 @@ Coordinates are ints or Fractions (ints whenever the value is integral,
 which keeps lattice-polygon arithmetic fast), every predicate is exact,
 and polygons are stored canonically: vertices counterclockwise, no three
 collinear, starting at the lexicographically smallest vertex.  Structural
-equality of polygons is therefore geometric equality.
+equality of polygons is therefore geometric equality.  Computations on
+a rational polygon P run on its integer multiple D*P, D the least common
+denominator of its coordinates (_scaled): lattice_points scans D*P in
+integers, and the size and oracle modules measure D*P.
 """
 from __future__ import annotations
 
@@ -261,60 +264,27 @@ def apply_map(phi: UnimodularMap, P: ConvexPolygon) -> ConvexPolygon:
 def lattice_points(P: ConvexPolygon) -> list[Point]:
     """All integer points inside or on P, sorted lexicographically.
 
-    A lattice polygon is scanned in integers, column by column (see
-    _integral_points).  Any other polygon scans bounding-box rows and
-    intersects each row with the edges exactly, so rational vertices are
-    handled without rounding.
+    P is scanned as its integer multiple S = D*P (see _scaled): the
+    integer points of P are the points of S with both coordinates
+    divisible by D, divided by D.  A point or a vertical segment of S
+    lies in one column.  Otherwise the lower chain runs from S's first
+    vertex along the edges heading right and the upper chain from the
+    top-left vertex back along the edges heading left (a segment is both
+    chains); both span every column from the smallest x to the largest.
+    Only the columns x = D*X are scanned, and a column's points are the
+    multiples of D between the lower chain and the upper one: the chain
+    heights are rounded up and down to multiples of D by one integer
+    division each.  Columns ascend and each column ascends, so the output
+    is sorted as it is made.
     """
-    vs = P.vertices
-    if P.is_lattice:
-        return _integral_points(vs)
-    if len(vs) == 1:
-        return []
+    D, S = _scaled(P)
+    vs = S.vertices
     n = len(vs)
-    edges = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
-    if n == 2:
-        edges = edges[:1]
-    ys = [v.y for v in vs]
-    out: list[Point] = []
-    for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1):
-        xs: list[Coord] = []
-        for a, b in edges:
-            if a.y == b.y:
-                if a.y == y:
-                    xs.append(a.x)
-                    xs.append(b.x)
-            else:
-                lo, hi = (a, b) if a.y < b.y else (b, a)
-                if lo.y <= y <= hi.y:
-                    t = Fraction(y - lo.y) / (hi.y - lo.y)
-                    xs.append(lo.x + t * (hi.x - lo.x))
-        if xs:
-            out.extend(Point(x, y)
-                       for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1))
-    out.sort()
-    return out
-
-
-def _integral_points(vs: tuple[Point, ...]) -> list[Point]:
-    """lattice_points of a lattice polygon with canonical vertices vs.
-
-    A segment steps by its primitive direction.  A polygon's lower chain
-    runs from vs[0] along the edges heading right and its upper chain
-    from the top-left vertex back along the edges heading left; both
-    span every column from the smallest x to the largest, and a column's
-    points are those between the ceiling of the lower chain and the floor
-    of the upper one.  Columns ascend and each column ascends, so the
-    output is sorted as it is made.
-    """
-    n = len(vs)
-    if n == 1:
-        return [vs[0]]
-    if n == 2:
-        a, b = vs
-        dx, dy = b.x - a.x, b.y - a.y
-        g = math.gcd(dx, dy)
-        return [_point(a.x + i * dx // g, a.y + i * dy // g) for i in range(g + 1)]
+    if n <= 2 and vs[-1].x == vs[0].x:
+        x = vs[0].x
+        if x % D:
+            return []
+        return [_point(x // D, y) for y in range(-(-vs[0].y // D), vs[-1].y // D + 1)]
     lower = [vs[0]]
     for v in vs[1:]:
         if v.x <= lower[-1].x:
@@ -329,17 +299,18 @@ def _integral_points(vs: tuple[Point, ...]) -> list[Point]:
         upper.append(v)
     out: list[Point] = []
     li = ui = 0
-    for x in range(vs[0].x, lower[-1].x + 1):
+    for X in range(-(-vs[0].x // D), lower[-1].x // D + 1):
+        x = X * D
         while lower[li + 1].x < x:
             li += 1
         while upper[ui + 1].x < x:
             ui += 1
         a, b = lower[li], lower[li + 1]
         c, d = upper[ui], upper[ui + 1]
-        # ceiling and floor of the two chains' heights at x, in integers
-        lo = -(((b.y - a.y) * (a.x - x) - a.y * (b.x - a.x)) // (b.x - a.x))
-        hi = (c.y * (d.x - c.x) + (d.y - c.y) * (x - c.x)) // (d.x - c.x)
-        out.extend(_point(x, y) for y in range(lo, hi + 1))
+        # the two chains' heights at x, over D, rounded up and down
+        lo = -(((b.y - a.y) * (a.x - x) - a.y * (b.x - a.x)) // ((b.x - a.x) * D))
+        hi = (c.y * (d.x - c.x) + (d.y - c.y) * (x - c.x)) // ((d.x - c.x) * D)
+        out.extend(_point(X, y) for y in range(lo, hi + 1))
     return out
 
 

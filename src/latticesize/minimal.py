@@ -198,8 +198,10 @@ def _may_sweep(h: int, vs: tuple) -> bool:
     return not _has_smaller_image(vs)
 
 
-def _sweep_one(h: int, P: ConvexPolygon) -> ConvexPolygon | None:
-    """Canonical form if P is a minimal polygon of square size h."""
+def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
+    """Canonical form if the polygon with canonical vertex tuple vs is a
+    minimal polygon of square size h."""
+    P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
     if not is_minimal(P):
         return None
     # a canonical form has both coordinate minima 0 and fits the corner
@@ -223,7 +225,7 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
 
     - C has both coordinate minima 0, so only the grid's polygons whose
       lexicographically smallest vertex lies in the column x = 0 and
-      whose smallest y is 0 are generated (enumerate_anchored).
+      whose smallest y is 0 are generated (_anchored_chains).
     - A single point has square size 0, and a polygon whose axis spans
       are both below h has square size below h.
     - A polygon with at least 3 vertices, two of which differ by a vector
@@ -238,8 +240,8 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       and a polygon with a strictly smaller image is not a canonical form.
 
     Only the generator's integer vertex tuples that pass these tests
-    become polygons, lazily, and go through is_minimal and
-    canonical_form.  The sweep cost grows quickly with h, hence the
+    become polygons, where _sweep_one runs, and go through is_minimal
+    and canonical_form.  The sweep cost grows quickly with h, hence the
     guard; raise the limit explicitly for a longer run, and pass several
     jobs to spread the minimality tests over worker processes (see
     map_polygons).
@@ -250,8 +252,7 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
         raise ResourceLimitError(
             f"classification sweep for h={h} exceeds the limit {limit}; "
             "pass a larger limit to run it anyway")
-    candidates = (ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
-                  for vs in _anchored_chains(h) if _may_sweep(h, vs))
+    candidates = (vs for vs in _anchored_chains(h) if _may_sweep(h, vs))
     found = set(map_polygons(functools.partial(_sweep_one, h), candidates, jobs))
     found.discard(None)
     family = tuple(generate_minimal(h))

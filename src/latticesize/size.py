@@ -91,16 +91,12 @@ def simplex_dilates(P: ConvexPolygon) -> tuple[Coord, Coord, Coord, Coord]:
 
 def lattice_width(P: ConvexPolygon) -> Coord:
     """Smallest directional width over all nonzero integer directions."""
-    if len(P.vertices) == 1:
-        return 0
     D, P = _scaled(P)
     return _unscaled(_reduce(P)[1], D)
 
 
 def ls_square(P: ConvexPolygon) -> Coord:
     """Lattice size for the unit-square target, without the certificate."""
-    if len(P.vertices) == 1:
-        return 0
     D, P = _scaled(P)
     return _unscaled(_reduce(P)[2], D)
 
@@ -115,15 +111,6 @@ def _report(P: ConvexPolygon) -> InvariantsReport:
     """invariants(P), memoized for the last _MEMO polygons: the brute-force
     search, check_bounds, extremal_family and canonical_form read their
     caps, basis and widths from it, so one query reduces P once."""
-    if len(P.vertices) == 1:
-        v = P.vertices[0]
-        to_origin = UnimodularMap(((1, 0), (0, 1)), (-v.x, -v.y))
-        return InvariantsReport(
-            width=0, ls_square=0, ls_simplex=0, area=Fraction(0),
-            basis=LatticeBasis((1, 0), (0, 1)),
-            cert_square=ContainmentCertificate(to_origin, SQUARE, 0),
-            cert_simplex=ContainmentCertificate(to_origin, SIMPLEX, 0),
-        )
     D, S = _scaled(P)
     basis = gauss_reduce(S)
     (a, b), (c, d) = basis.u1, basis.u2

@@ -14,7 +14,7 @@ from latticesize import (
     hull,
     ls_square,
 )
-from latticesize.enumeration import _chains, enumerate_anchored, map_polygons
+from latticesize.enumeration import _anchored_chains, _chains, map_polygons
 
 
 class TestCounts:
@@ -121,9 +121,9 @@ class TestOrder:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_anchored_is_the_corner_subsequence(self, n):
         everything = enumerate_convex(n, include_degenerate=True)
-        want = [P for P in everything
+        want = [tuple((v.x, v.y) for v in P.vertices) for P in everything
                 if min(v.x for v in P.vertices) == 0 and min(v.y for v in P.vertices) == 0]
-        assert list(enumerate_anchored(n)) == want
+        assert list(_anchored_chains(n)) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_anchored_pruning_keeps_the_filtered_chains(self, n):
@@ -131,8 +131,7 @@ class TestOrder:
         # keep those whose smallest y is 0
         column = itertools.takewhile(lambda chain: chain[0][0] == 0, _chains(n, True))
         want = [chain for chain in column if min(y for _, y in chain) == 0]
-        got = [tuple((v.x, v.y) for v in P.vertices) for P in enumerate_anchored(n)]
-        assert got == want
+        assert list(_anchored_chains(n)) == want
 
     def test_anchored_pruning_skips_chains(self):
         # 24,265 chains from the column x = 0 of {0..4}^2 without pruning,
@@ -141,7 +140,7 @@ class TestOrder:
 
     def test_anchored_guard(self):
         with pytest.raises(InvalidInputError):
-            enumerate_anchored(0)
+            _anchored_chains(0)
 
 
 class TestClasses:
@@ -203,7 +202,7 @@ class TestMapPolygons:
             def __exit__(self, *exc):
                 return False
 
-            def imap(self, fn, tasks):
+            def imap(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)

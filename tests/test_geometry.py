@@ -344,6 +344,34 @@ class TestAgainstBruteForce:
             seg = hull([(Fraction(k, 3), 0), (3, Fraction(2 * k, 3))])
             assert _pairs(lattice_points(seg)) == _brute_points(seg)
 
+        # negative coordinates: the column range and the chain heights
+        # are rounded from numerators of either sign
+        def coord():
+            den = rng.randint(1, 6)
+            return Fraction(rng.randint(-10 * den, 10 * den), den)
+
+        for k in [1, 2, 3, 4, 6] * 40:
+            P = hull((coord(), coord()) for _ in range(k))
+            pts = lattice_points(P)
+            assert _pairs(pts) == _brute_points(P), P
+            assert all(type(p.x) is int and type(p.y) is int for p in pts)
+        # single points, rational or not
+        for p in [(Fraction(1, 3), Fraction(5, 2)), (Fraction(-7, 4), 2),
+                  (-3, Fraction(-1, 2)), (Fraction(-6, 3), 3)]:
+            P = hull([p])
+            assert _pairs(lattice_points(P)) == _brute_points(P)
+        # segments whose lattice points are all interior, or which have none
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        for ends, want in [
+                (((half, 0), (5 * half, 0)), [(1, 0), (2, 0)]),
+                (((-5 * third, -5 * third), (7 * third, 7 * third)),
+                 [(-1, -1), (0, 0), (1, 1), (2, 2)]),
+                (((-half, half / 2), (7 * half, 9 * half / 2)), [(1, 1), (3, 2)]),
+                (((2, -half), (2, 5 * half)), [(2, 0), (2, 1), (2, 2)]),
+                (((half, -3 * half), (half, 7 * half)), [])]:
+            seg = hull(ends)
+            assert _pairs(lattice_points(seg)) == _brute_points(seg) == want
+
 
 class TestContainment:
     image = hull([(1, 2), (2, 1), (1, 0), (0, 0), (0, 1)])

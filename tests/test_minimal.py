@@ -19,7 +19,7 @@ from latticesize import (
     triangle_minimal,
     verify_classification,
 )
-from latticesize.enumeration import _anchored_chains, enumerate_anchored
+from latticesize.enumeration import _anchored_chains
 from latticesize.geometry import width
 from latticesize.minimal import (
     _has_long_pair,
@@ -204,7 +204,7 @@ def _unfiltered_sweep_one(h, P):
 class TestSweepFilters:
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_classes_match_unfiltered_sweep(self, h):
-        unfiltered = {_unfiltered_sweep_one(h, P) for P in enumerate_anchored(h)}
+        unfiltered = {_unfiltered_sweep_one(h, hull(vs)) for vs in _anchored_chains(h)}
         unfiltered.discard(None)
         report = verify_classification(h)
         assert set(report.search_classes) == unfiltered

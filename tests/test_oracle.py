@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import functools
 import importlib
 import importlib.util
+import io
 import itertools
 import pathlib
 import random
@@ -10,6 +12,7 @@ from math import gcd
 
 import pytest
 
+import latticesize.cli
 import latticesize.reduction
 import latticesize.size
 from latticesize import (
@@ -307,13 +310,34 @@ class TestMemo:
 
     def test_traced_functions_stay_plain(self):
         # the tracer's self-check reads fn.__code__, which a memo lacks
-        path = pathlib.Path(__file__).parents[1] / "bench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("bench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
+        tracer = _bench_tracer()
         for module, name in tracer.TRACED:
             fn = getattr(importlib.import_module(f"latticesize.{module}"), name)
             assert isinstance(fn, types.FunctionType), f"{module}.{name}"
+
+    def test_tracer_self_check(self):
+        # every traced function is exercised by a small corpus check, and
+        # each call runs through the module attribute the tracer wraps
+        tracer = _bench_tracer()
+
+        def work():
+            # self_check runs work twice; memo hits on the second run
+            # would count fewer calls than the first
+            for memo in MEMOS:
+                memo.cache_clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert latticesize.cli.main(["corpus-check", "--n", "2", "--jobs", "1"]) == 0
+
+        assert tracer.self_check(work) == []
+
+
+def _bench_tracer():
+    """bench/tracer.py, loaded from the source checkout."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 class TestBruteForce:

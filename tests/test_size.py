@@ -91,8 +91,22 @@ class TestInvariants:
         self.check(hull([(0, 0), (3, 0)]), (0, 3, 3, 0))
 
     def test_point(self):
-        rep = self.check(hull([(5, -2)]), (0, 0, 0, 0))
-        assert rep.cert_square.dilate == 0
+        # a point goes through the general path: the reduction keeps the
+        # standard basis and both certificates translate it to the origin
+        for p in [(5, -2), (0, 0), (Fraction(1, 3), Fraction(5, 2)), (Fraction(-7, 4), 2)]:
+            P = hull([p])
+            rep = self.check(P, (0, 0, 0, 0))
+            to_origin = UnimodularMap(((1, 0), (0, 1)), (-p[0], -p[1]))
+            want = InvariantsReport(
+                width=0, ls_square=0, ls_simplex=0, area=Fraction(0),
+                basis=LatticeBasis((1, 0), (0, 1)),
+                cert_square=ContainmentCertificate(to_origin, SQUARE, 0),
+                cert_simplex=ContainmentCertificate(to_origin, SIMPLEX, 0))
+            assert rep == want
+            # the same types too: int sizes and dilates, a Fraction area
+            assert list(map(type, _numbers(rep))) == list(map(type, _numbers(want)))
+            assert type(ls_square(P)) is int and ls_square(P) == 0
+            assert type(lattice_width(P)) is int and lattice_width(P) == 0
 
     def test_shortcuts_agree(self):
         rng = random.Random(47)
