@@ -52,8 +52,10 @@ class Point:
     def is_lattice(self) -> bool:
         return isinstance(self.x, int) and isinstance(self.y, int)
 
-    def translated(self, dx: Coord, dy: Coord) -> "Point":
-        return Point(self.x + dx, self.y + dy)
+    def __reduce__(self):
+        # rebuild from the coordinates, which is smaller and faster to
+        # pickle than the dataclass state of a slotted class
+        return (Point, (self.x, self.y))
 
 
 def _cross(o: Point, a: Point, b: Point) -> Coord:
@@ -170,8 +172,6 @@ def _unscaled(value: int, D: int) -> Coord:
 def area(P: ConvexPolygon) -> Fraction:
     """Euclidean area by the shoelace sum; zero for segments and points."""
     vs = P.vertices
-    if len(vs) <= 2:
-        return Fraction(0)
     s = 0
     for i, v in enumerate(vs):
         w = vs[(i + 1) % len(vs)]
@@ -196,7 +196,7 @@ class UnimodularMap:
 
     The translation is rational in general; lattice equivalence uses
     integer translations, and every map this package produces for a
-    lattice polygon has one (see the is_lattice property).
+    lattice polygon has one, kept as a pair of ints.
     """
 
     matrix: tuple[IntVec, IntVec]
@@ -212,48 +212,10 @@ class UnimodularMap:
         tx, ty = self.translation
         object.__setattr__(self, "translation", (_norm(tx), _norm(ty)))
 
-    @property
-    def det(self) -> int:
-        (a, b), (c, d) = self.matrix
-        return a * d - b * c
-
-    @property
-    def is_lattice(self) -> bool:
-        tx, ty = self.translation
-        return isinstance(tx, int) and isinstance(ty, int)
-
-    @classmethod
-    def identity(cls) -> "UnimodularMap":
-        return cls(((1, 0), (0, 1)))
-
-    @classmethod
-    def from_rows(cls, u1: IntVec, u2: IntVec,
-                  translation: tuple[Coord, Coord] = (0, 0)) -> "UnimodularMap":
-        return cls((tuple(u1), tuple(u2)), translation)
-
     def apply_point(self, p: Point) -> Point:
         (a, b), (c, d) = self.matrix
         tx, ty = self.translation
         return Point(a * p.x + b * p.y + tx, c * p.x + d * p.y + ty)
-
-    def compose(self, inner: "UnimodularMap") -> "UnimodularMap":
-        """The map sending x to self(inner(x))."""
-        (a, b), (c, d) = self.matrix
-        (e, f), (g, h) = inner.matrix
-        ix, iy = inner.translation
-        tx, ty = self.translation
-        return UnimodularMap(
-            ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)),
-            (a * ix + b * iy + tx, c * ix + d * iy + ty),
-        )
-
-    def inverse(self) -> "UnimodularMap":
-        (a, b), (c, d) = self.matrix
-        det = a * d - b * c
-        ia, ib, ic, id_ = d * det, -b * det, -c * det, a * det
-        tx, ty = self.translation
-        return UnimodularMap(((ia, ib), (ic, id_)),
-                             (-(ia * tx + ib * ty), -(ic * tx + id_ * ty)))
 
 
 def apply_map(phi: UnimodularMap, P: ConvexPolygon) -> ConvexPolygon:

@@ -22,6 +22,7 @@ from .enumeration import _anchored_chains, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import ConvexPolygon, Point, hull
 from .oracle import _cycle, canonical_form, is_minimal
+from .size import ls_square
 
 Kind = Literal["segment", "triangle", "quad"]
 
@@ -191,7 +192,7 @@ def _may_sweep(h: int, vs: tuple) -> bool:
     can be the canonical form of a minimal polygon of square size h;
     the rejections are argued in verify_classification."""
     # the square size never exceeds the larger axis span
-    if len(vs) == 1 or max(max(v) for v in vs) < h:
+    if max(max(v) for v in vs) < h:
         return False
     if len(vs) >= 3 and _has_long_pair(h, vs):
         return False
@@ -202,14 +203,9 @@ def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
     """Canonical form if the polygon with canonical vertex tuple vs is a
     minimal polygon of square size h."""
     P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
-    if not is_minimal(P):
+    if ls_square(P) != h or not is_minimal(P):
         return None
-    # a canonical form has both coordinate minima 0 and fits the corner
-    # square of side ls_square(P) but no smaller one, so its largest
-    # coordinate is the square size: no second ls_square beside the one
-    # inside is_minimal
-    C = canonical_form(P)
-    return C if max(max(v.x, v.y) for v in C.vertices) == h else None
+    return canonical_form(P)
 
 
 def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
@@ -226,8 +222,8 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     - C has both coordinate minima 0, so only the grid's polygons whose
       lexicographically smallest vertex lies in the column x = 0 and
       whose smallest y is 0 are generated (_anchored_chains).
-    - A single point has square size 0, and a polygon whose axis spans
-      are both below h has square size below h.
+    - A polygon whose axis spans are both below h, a single point among
+      them, has square size below h.
     - A polygon with at least 3 vertices, two of which differ by a vector
       whose gcd is at least h, is not minimal: dropping a third vertex
       keeps the segment between those two, of lattice length at least
@@ -240,8 +236,10 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       and a polygon with a strictly smaller image is not a canonical form.
 
     Only the generator's integer vertex tuples that pass these tests
-    become polygons, where _sweep_one runs, and go through is_minimal
-    and canonical_form.  The sweep cost grows quickly with h, hence the
+    become polygons, in _sweep_one, which measures their square size
+    first: a polygon of any other square size belongs to no class of
+    size h, so only those of square size h go through is_minimal and
+    canonical_form.  The sweep cost grows quickly with h, hence the
     guard; raise the limit explicitly for a longer run, and pass several
     jobs to spread the minimality tests over worker processes (see
     map_polygons).

@@ -217,11 +217,10 @@ def canonical_form(P: ConvexPolygon) -> ConvexPolygon:
     a rational polygon are compared as those of its integer multiple D*P,
     which are D times larger and so ordered alike.
     """
-    if P.dim == 0:
-        return ConvexPolygon((Point(0, 0),))
-    if P.dim == 1:
-        # of the four images that fit the bounding square, the vertical
-        # segment from the origin is the lexicographic minimum
+    if P.dim < 2:
+        # of the four images of a segment that fit the bounding square, the
+        # vertical segment from the origin is the lexicographic minimum; a
+        # point has square size 0, and hull makes the origin of it
         return hull([Point(0, 0), Point(0, _report(P).ls_square)])
     return _canonical(P)
 
@@ -239,7 +238,7 @@ def _canonical(P: ConvexPolygon) -> ConvexPolygon:
 
 def lattice_equivalent(P: ConvexPolygon, Q: ConvexPolygon) -> bool:
     """Whether some unimodular map carries P onto Q."""
-    if len(P.vertices) != len(Q.vertices) or P.dim != Q.dim:
+    if len(P.vertices) != len(Q.vertices):
         return False
     if area(P) != area(Q):
         return False

@@ -77,7 +77,7 @@ def _ref_invariants(P):
     """width, square size, triangle size, basis and both certificate
     maps, computed on P's own coordinates."""
     basis = gauss_reduce(P)
-    reduce_map = UnimodularMap.from_rows(basis.u1, basis.u2)
+    reduce_map = UnimodularMap((basis.u1, basis.u2))
     Q = apply_map(reduce_map, P)
     xs = [v.x for v in Q.vertices]
     ys = [v.y for v in Q.vertices]

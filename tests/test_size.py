@@ -154,7 +154,7 @@ def image_invariants(P):
     measured again on D*P."""
     D, S = _scaled(P)
     basis = gauss_reduce(S)
-    reduce_map = UnimodularMap.from_rows(basis.u1, basis.u2)
+    reduce_map = UnimodularMap((basis.u1, basis.u2))
     Q = apply_map(reduce_map, S)
     min_x = min(v.x for v in Q.vertices)
     max_x = max(v.x for v in Q.vertices)
