@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Union
@@ -32,30 +33,30 @@ _COORD = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _norm(value) -> Coord:
-    """Coerce to an exact rational, kept as a plain int when integral."""
-    if isinstance(value, int):
+    """Coerce to an exact rational, kept as a plain int (never a bool)
+    when integral."""
+    if value.__class__ is int:
         return value
     f = Fraction(value)
     return f.numerator if f.denominator == 1 else f
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Point:
-    x: Coord
-    y: Coord
+class Point(namedtuple("Point", "x y")):
+    """An immutable (x, y) pair of exact coordinates, normalised by _norm."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _norm(self.x))
-        object.__setattr__(self, "y", _norm(self.y))
+    __slots__ = ()
+
+    def __new__(cls, x, y):
+        return tuple.__new__(cls, (_norm(x), _norm(y)))
+
+    @classmethod
+    def _make(cls, xy):
+        # namedtuple's _make skips __new__; _replace builds through it
+        return cls(*xy)
 
     @property
     def is_lattice(self) -> bool:
         return isinstance(self.x, int) and isinstance(self.y, int)
-
-    def __reduce__(self):
-        # rebuild from the coordinates, which is smaller and faster to
-        # pickle than the dataclass state of a slotted class
-        return (Point, (self.x, self.y))
 
 
 def _cross(o: Point, a: Point, b: Point) -> Coord:
@@ -278,10 +279,7 @@ def lattice_points(P: ConvexPolygon) -> list[Point]:
 
 def _point(x: int, y: int) -> Point:
     # internal fast path for integer coordinates, which need no coercion
-    p = object.__new__(Point)
-    object.__setattr__(p, "x", x)
-    object.__setattr__(p, "y", y)
-    return p
+    return tuple.__new__(Point, (x, y))
 
 
 def drop_vertex(P: ConvexPolygon, v: Point) -> ConvexPolygon:
@@ -303,7 +301,7 @@ def drop_vertex(P: ConvexPolygon, v: Point) -> ConvexPolygon:
     else:
         i = vs.index(v)
         tri = (vs[i - 1], v, vs[(i + 1) % len(vs)])
-        k = min(range(3), key=lambda j: (tri[j].x, tri[j].y))
+        k = tri.index(min(tri))
         near = lattice_points(ConvexPolygon._trusted(tri[k:] + tri[:k])) + list(vs)
     rest = [p for p in near if p != v]
     if not rest:

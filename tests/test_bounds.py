@@ -10,9 +10,12 @@ from latticesize import (
     apply_map,
     area,
     check_bounds,
+    enumerate_classes,
     exceptional_triangle,
     extremal_family,
     hull,
+    invariants,
+    lattice_equivalent,
     thin_triangle,
     unit_square,
     width_extremal_triangle,
@@ -114,6 +117,29 @@ class TestCheckBounds:
             assert rep.slack_wl >= 0
             assert rep.slack_simplex is None
             assert rep.slack_square is None
+
+
+def test_width_bound_equality_census():
+    """The width bounds are tight exactly on the width-extremal triangles.
+
+    Both 8A >= 3wh and 4A >= wl are homogeneous of degree 2, so a
+    rational polygon P with denominators dividing D is tight exactly when
+    the lattice polygon D*P is.  The lattice classes of {0..4}^2 therefore
+    cover every rational polygon with vertices in (1/D)Z^2 inside
+    [0, 4/D]^2, for every D.  Membership is tested rather than the label,
+    since width_extremal_triangle(2) is the exceptional triangle and
+    check_bounds reports that label.
+    """
+    tight = []
+    for P in enumerate_classes(4):
+        rep = check_bounds(P)
+        w = invariants(P).width
+        member = w % 2 == 0 and lattice_equivalent(P, width_extremal_triangle(w))
+        assert (rep.slack_wh == 0) == member, P
+        assert (rep.slack_wl == 0) == member, P
+        if member:
+            tight.append(w)
+    assert sorted(tight) == [2, 4]
 
 
 class TestExtremalFamily:

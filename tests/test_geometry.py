@@ -96,10 +96,33 @@ class TestPolygonValidation:
             ConvexPolygon((Point(1, 0), Point(0, 0)))
 
 
+class TestPoint:
+    def test_is_a_normalised_pair(self):
+        p = Point(1, 2)
+        assert p == (1, 2) and hash(p) == hash((1, 2))
+        x, y = p
+        assert (x, y) == (1, 2)
+        assert sorted([Point(1, 0), Point(0, 5), Point(0, -1)]) == \
+            [Point(0, -1), Point(0, 5), Point(1, 0)]
+        assert repr(p) == "Point(x=1, y=2)"
+        with pytest.raises(AttributeError):
+            p.x = 3
+        for q in (Point(Fraction(4, 2), 1), Point._make((Fraction(4, 2), 1)),
+                  Point(1, 2)._replace(x=Fraction(4, 2))):
+            assert q.x == 2 and type(q.x) is int
+        # equal to its pair, yet a pair is still not a vertex
+        with pytest.raises(InvalidInputError):
+            ConvexPolygon(((0, 0), (1, 0), (0, 1)))
+
+    def test_bool_coordinates_become_ints(self):
+        P = hull([(True, False), (3, 0), (0, 2)])
+        assert all(type(v.x) is int and type(v.y) is int for v in P.vertices)
+        assert polygon_to_text(P) == "0 2\n1 0\n3 0\n"
+
+
 class TestPickle:
     def test_point_round_trip(self):
         for p in (Point(3, -4), Point(Fraction(1, 2), 7), Point(-2, Fraction(-5, 3))):
-            assert p.__reduce__() == (Point, (p.x, p.y))
             q = pickle.loads(pickle.dumps(p))
             assert q == p
             assert (type(q.x), type(q.y)) == (type(p.x), type(p.y))

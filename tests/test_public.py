@@ -1,4 +1,9 @@
 """The public surface: the names latticesize exports in __all__."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import latticesize
 
 PUBLIC = [
@@ -70,3 +75,25 @@ def test_no_duplicates():
 def test_every_name_resolves():
     for name in latticesize.__all__:
         assert getattr(latticesize, name) is not None
+
+
+# run without site (-S), so only what the package itself imports is loaded
+_IMPORTS = """
+import sys
+import latticesize
+import latticesize.cli as cli
+latticesize.verify_classification(2)
+assert cli.main(["corpus-check", "--n", "1", "--jobs", "1"]) == 0
+print(" ".join(sorted({name.partition(".")[0] for name in sys.modules})))
+"""
+
+
+def test_zero_runtime_dependencies():
+    src = str(Path(latticesize.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", _IMPORTS], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = set(out.splitlines()[-1].split())
+    # __mp_main__ is multiprocessing's alias of the running script
+    script = {"__main__", "__mp_main__"}
+    assert loaded - set(sys.stdlib_module_names) - script == {"latticesize"}
