@@ -6,23 +6,32 @@ visit every strictly convex polygon exactly once, already in canonical
 vertex order.  Counts are cross-checked against subset brute force in
 the test suite.  Grown only from the column x = 0 and pruned, the same
 chains give the vertex tuples of the polygons whose coordinate minima
-are both 0 (_anchored_chains), which the minimal-classification sweep
-runs on.  map_polygons runs a function over a stream of polygons or of
-their vertex tuples, in this process or over a pool of worker
-processes.
+are both 0 (_anchored_chains); the dihedral filter (_has_smaller_image)
+keeps those that can be canonical forms, for enumerate_classes and the
+minimal-classification sweep.  map_polygons maps a function over
+polygons or vertex tuples, in this process or over a worker pool.
 """
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidInputError
 from .geometry import ConvexPolygon, Point
-from .oracle import canonical_form
+from .oracle import _cycle, canonical_form
 
 DEFAULT_GRID_LIMIT = 5
 _BATCH = 256  # items per worker task when mapping over a pool
+
+# the square's symmetries but the identity: (swap axes, then mirror x, then y)
+_SYMMETRIES = tuple(itertools.product((False, True), repeat=3))[1:]
+
+
+def _check_grid(n: int, limit: int) -> None:
+    if not isinstance(n, int) or not 1 <= n <= limit:
+        raise InvalidInputError(f"grid size must be an integer in 1..{limit}, got {n!r}")
 
 
 def enumerate_convex(n: int, include_degenerate: bool = False,
@@ -31,11 +40,10 @@ def enumerate_convex(n: int, include_degenerate: bool = False,
     position, each exactly once, in unspecified order.
 
     Degenerate members (single points and segments) are included only on
-    request.  The grid bound is guarded because the output count grows
-    quickly; pass a larger limit explicitly to go beyond the default.
+    request.  The output grows quickly with n, so a grid larger than limit
+    is refused; pass a larger limit explicitly to go beyond the default.
     """
-    if not isinstance(n, int) or not 1 <= n <= limit:
-        raise InvalidInputError(f"grid size must be an integer in 1..{limit}, got {n!r}")
+    _check_grid(n, limit)
     return (ConvexPolygon._trusted(tuple(Point(x, y) for x, y in chain))
             for chain in _chains(n, include_degenerate))
 
@@ -127,23 +135,43 @@ def _grow(v0, chain, pool, lowest=0) -> Iterator[tuple]:
         chain.pop()
 
 
+def _has_smaller_image(vs: tuple) -> bool:
+    """Whether a symmetry of the square maps the polygon with vertex
+    tuple vs, both coordinate minima 0, to a smaller vertex tuple once
+    translated back to minima 0.  That image is a unimodular image of the
+    same polygon, so vs is then not its canonical form, the least one."""
+    xs = [x for x, _ in vs]
+    ys = [y for _, y in vs]
+    for swap, fx, fy in _SYMMETRIES:
+        a, b = (ys, xs) if swap else (xs, ys)
+        if fx:
+            top = max(a)
+            a = [top - x for x in a]
+        if fy:
+            top = max(b)
+            b = [top - y for y in b]
+        if _cycle(list(zip(a, b)), swap ^ fx ^ fy) < vs:
+            return True
+    return False
+
+
 def enumerate_classes(n: int, include_degenerate: bool = False,
                       limit: int = DEFAULT_GRID_LIMIT) -> Iterator[ConvexPolygon]:
-    """Canonical forms of the equivalence classes met in {0..n}^2.
+    """Canonical forms of the equivalence classes met in {0..n}^2, each
+    exactly once, in the order of _anchored_chains; points and segments
+    only with include_degenerate.
 
-    Every class whose canonical form fits the grid appears exactly once,
-    since the canonical form itself is one of the enumerated polygons.
-    """
-    return _distinct_classes(enumerate_convex(n, include_degenerate, limit))
-
-
-def _distinct_classes(stream: Iterator[ConvexPolygon]) -> Iterator[ConvexPolygon]:
-    seen: set[ConvexPolygon] = set()
-    for P in stream:
-        c = canonical_form(P)
-        if c not in seen:
-            seen.add(c)
-            yield c
+    A class met in the grid has square size at most n, so its canonical
+    form lies in the corner square of side n, has both coordinate minima
+    0 and is no larger than any of its 7 other dihedral images: it is a
+    tuple of _anchored_chains(n) that _has_smaller_image keeps.  Those
+    tuples that are their own canonical form are distinct classes, so no
+    set of forms already seen is needed."""
+    _check_grid(n, limit)
+    polygons = (ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
+                for vs in _anchored_chains(n)
+                if (include_degenerate or len(vs) >= 3) and not _has_smaller_image(vs))
+    return (P for P in polygons if canonical_form(P) == P)
 
 
 def map_polygons(fn: Callable, polygons: Iterable, jobs: int) -> Iterator:

@@ -8,7 +8,7 @@ quadrilaterals conv{(a,0),(0,b),(h,h-c),(h-d,h)} with
 min(a,b) + min(c,d) > h; quadrilaterals satisfying instead
 max(a,c) + max(b,d) < h are mirror images of members of that family,
 so the generator omits them.  verify_classification replays the whole
-claim against an exhaustive grid sweep.
+claim against an exhaustive grid sweep; its dihedral filter is enumeration's.
 """
 from __future__ import annotations
 
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Literal
 
-from .enumeration import _anchored_chains, map_polygons
+from .enumeration import _anchored_chains, _has_smaller_image, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import ConvexPolygon, Point, hull
-from .oracle import _cycle, canonical_form, is_minimal
+from .oracle import canonical_form, is_minimal
 from .size import ls_square
 
 Kind = Literal["segment", "triangle", "quad"]
@@ -156,35 +156,11 @@ class ClassificationReport:
         return not self.only_in_families and not self.only_in_search
 
 
-# the symmetries of the square other than the identity, as (swap the
-# axes, then mirror x, then mirror y)
-_SYMMETRIES = tuple(itertools.product((False, True), repeat=3))[1:]
-
-
 def _has_long_pair(h: int, vs: tuple) -> bool:
     """Whether two of the vertices vs differ by a vector whose gcd is at
     least h, i.e. span a segment of lattice length at least h."""
     return any(gcd(x1 - x2, y1 - y2) >= h
                for (x1, y1), (x2, y2) in itertools.combinations(vs, 2))
-
-
-def _has_smaller_image(vs: tuple) -> bool:
-    """Whether a symmetry of the square maps the polygon with vertex
-    tuple vs, both coordinate minima 0, to a lexicographically smaller
-    vertex tuple once translated back to minima 0."""
-    xs = [x for x, _ in vs]
-    ys = [y for _, y in vs]
-    for swap, fx, fy in _SYMMETRIES:
-        a, b = (ys, xs) if swap else (xs, ys)
-        if fx:
-            top = max(a)
-            a = [top - x for x in a]
-        if fy:
-            top = max(b)
-            b = [top - y for y in b]
-        if _cycle(list(zip(a, b)), swap ^ fx ^ fy) < vs:
-            return True
-    return False
 
 
 def _may_sweep(h: int, vs: tuple) -> bool:
@@ -219,9 +195,9 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     polygon it tests gets the full test, so its class set is the full
     grid's:
 
-    - C has both coordinate minima 0, so only the grid's polygons whose
-      lexicographically smallest vertex lies in the column x = 0 and
-      whose smallest y is 0 are generated (_anchored_chains).
+    - C has both coordinate minima 0 and is no larger than its 7 other
+      dihedral images, so it is a tuple of _anchored_chains that
+      _has_smaller_image keeps (see enumerate_classes).
     - A polygon whose axis spans are both below h, a single point among
       them, has square size below h.
     - A polygon with at least 3 vertices, two of which differ by a vector
@@ -229,11 +205,6 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       keeps the segment between those two, of lattice length at least
       h, and square size is monotone under inclusion, so the drop keeps
       square size h.
-    - Each symmetry of the square, followed by the translation back to
-      minima 0, maps C to a unimodular image of the same polygon inside
-      the same corner square, and C is the lexicographically smallest of
-      those images.  So C is no larger than any of its 7 other images,
-      and a polygon with a strictly smaller image is not a canonical form.
 
     Only the generator's integer vertex tuples that pass these tests
     become polygons, in _sweep_one, which measures their square size

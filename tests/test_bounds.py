@@ -119,19 +119,25 @@ class TestCheckBounds:
             assert rep.slack_square is None
 
 
-def test_width_bound_equality_census():
-    """The width bounds are tight exactly on the width-extremal triangles.
+def _width_bound_census(n):
+    """The class count of {0..n}^2 and the sorted widths of its classes on
+    which the width bounds are tight, asserting that they are tight
+    exactly on the width-extremal triangles.
 
     Both 8A >= 3wh and 4A >= wl are homogeneous of degree 2, so a
     rational polygon P with denominators dividing D is tight exactly when
-    the lattice polygon D*P is.  The lattice classes of {0..4}^2 therefore
+    the lattice polygon D*P is.  The lattice classes of {0..n}^2 therefore
     cover every rational polygon with vertices in (1/D)Z^2 inside
-    [0, 4/D]^2, for every D.  Membership is tested rather than the label,
+    [0, n/D]^2, for every D.  Membership is tested rather than the label,
     since width_extremal_triangle(2) is the exceptional triangle and
-    check_bounds reports that label.
+    check_bounds reports that label.  Larger grids run outside the suite:
+
+        PYTHONPATH=src:tests python -c \
+            "import test_bounds; print(test_bounds._width_bound_census(6))"
     """
-    tight = []
-    for P in enumerate_classes(4):
+    count, tight = 0, []
+    for P in enumerate_classes(n, limit=n):
+        count += 1
         rep = check_bounds(P)
         w = invariants(P).width
         member = w % 2 == 0 and lattice_equivalent(P, width_extremal_triangle(w))
@@ -139,7 +145,13 @@ def test_width_bound_equality_census():
         assert (rep.slack_wl == 0) == member, P
         if member:
             tight.append(w)
-    assert sorted(tight) == [2, 4]
+    return count, sorted(tight)
+
+
+def test_width_bound_equality_census():
+    """The width bounds are tight exactly on the width-extremal triangles,
+    over the 1,517 classes of {0..4}^2 (see _width_bound_census)."""
+    assert _width_bound_census(4) == (1_517, [2, 4])
 
 
 class TestExtremalFamily:

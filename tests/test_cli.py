@@ -382,6 +382,10 @@ class TestExitCodes:
         r = run("enumerate", "--n", "9")
         assert r.returncode == 1
 
+    def test_class_grid_too_big_is_bad_input(self):
+        r = run("enumerate", "--n", "9", "--classes")
+        assert r.returncode == 1
+
     def test_missing_file(self):
         r = run("invariants", "/definitely/not/here.txt")
         assert r.returncode == 1

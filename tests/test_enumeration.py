@@ -143,6 +143,18 @@ class TestOrder:
             _anchored_chains(0)
 
 
+def _seen_set_classes(n, include_degenerate):
+    """The earlier class path, kept as the reference: the canonical form
+    of every polygon of the full grid, each kept the first time it is
+    seen."""
+    seen = set()
+    for P in enumerate_convex(n, include_degenerate):
+        C = canonical_form(P)
+        if C not in seen:
+            seen.add(C)
+            yield C
+
+
 class TestClasses:
     def test_unit_grid_classes(self):
         assert len(list(enumerate_classes(1))) == 2
@@ -159,6 +171,18 @@ class TestClasses:
         for P in corpus3:
             assert canonical_form(P).vertices in reps
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_seen_set_reference(self, n, degenerate):
+        got = list(enumerate_classes(n, degenerate))
+        assert len(got) == len(set(got))
+        assert set(got) == set(_seen_set_classes(n, degenerate))
+
+    def test_four_grid_matches_seen_set_reference(self):
+        got = list(enumerate_classes(4))
+        assert len(got) == len(set(got)) == 1_517
+        assert set(got) == set(_seen_set_classes(4, False))
+
 
 class TestGuards:
     def test_zero_grid_rejected(self):
@@ -170,6 +194,12 @@ class TestGuards:
             enumerate_convex(6)
         with pytest.raises(InvalidInputError):
             enumerate_classes(6)
+
+    @pytest.mark.parametrize("n", [0, 6, 2.0, "3"])
+    def test_one_guard_for_both_enumerators(self, n):
+        for enumerate_grid in (enumerate_convex, enumerate_classes):
+            with pytest.raises(InvalidInputError, match="grid size"):
+                enumerate_grid(n)
 
     def test_limit_override(self):
         stream = enumerate_convex(6, limit=6)

@@ -1,11 +1,12 @@
 """Golden CLI output of the classification commands.
 
-`minimal --h 1..5` in both modes, `corpus-check --n 2` and the
-serial `corpus-check --n 3 --jobs 1` go through
-cli.main; each run's exit code, stdout and stderr are reduced to a
-SHA-256, recorded in golden_minimal.json.  A faster sweep must leave
-every byte and exit code as it was.  Regenerate the file only for an
-intended change of output:
+`minimal --h 1..5` in both modes, `corpus-check --n 2`, the serial
+`corpus-check --n 3 --jobs 1` and the sorted class lists of {0..4}^2,
+with and without degenerate members, go through cli.main; each run's
+exit code, stdout and stderr are reduced to a SHA-256, recorded in
+golden_minimal.json.  A faster sweep must leave every byte and exit
+code as it was.  Regenerate the file only for an intended change of
+output:
 
     PYTHONPATH=src python tests/test_golden_minimal.py > tests/golden_minimal.json
 """
@@ -23,7 +24,9 @@ from latticesize import cli
 GOLDEN = pathlib.Path(__file__).with_name("golden_minimal.json")
 RUNS = ([f"minimal --h {h} --mode verify" for h in range(1, 6)]
         + [f"minimal --h {h} --mode generate" for h in range(1, 6)]
-        + ["corpus-check --n 2", "corpus-check --n 3 --jobs 1"])
+        + ["corpus-check --n 2", "corpus-check --n 3 --jobs 1"]
+        + ["enumerate --n 4 --classes --sorted",
+           "enumerate --n 4 --classes --degenerate --sorted"])
 
 
 def _digest(command: str) -> str:

@@ -19,11 +19,10 @@ from latticesize import (
     triangle_minimal,
     verify_classification,
 )
-from latticesize.enumeration import _anchored_chains
+from latticesize.enumeration import _anchored_chains, _has_smaller_image
 from latticesize.geometry import width
 from latticesize.minimal import (
     _has_long_pair,
-    _has_smaller_image,
     _may_sweep,
     quad_reflect_params,
 )
