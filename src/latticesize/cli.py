@@ -159,12 +159,8 @@ def _cmd_enumerate(args) -> int:
     gen = enumerate_classes if args.classes else enumerate_convex
     stream = gen(args.n, include_degenerate=args.degenerate, limit=args.limit)
     lines = (_poly_line(P) for P in stream)
-    if args.sorted:
-        for line in sorted(lines):
-            print(line)
-    else:
-        for line in lines:
-            print(line)
+    for line in sorted(lines) if args.sorted else lines:
+        print(line)
     return 0
 
 

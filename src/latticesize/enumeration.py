@@ -4,12 +4,13 @@ Chains of grid points whose edge directions strictly advance in angle,
 grown depth-first from each possible lexicographically smallest vertex,
 visit every strictly convex polygon exactly once, already in canonical
 vertex order.  Counts are cross-checked against subset brute force in
-the test suite.  Grown only from the column x = 0 and pruned, the same
-chains give the vertex tuples of the polygons whose coordinate minima
-are both 0 (_anchored_chains); the dihedral filter (_has_smaller_image)
-keeps those that can be canonical forms, for enumerate_classes and the
-minimal-classification sweep.  map_polygons maps a function over
-polygons or vertex tuples, in this process or over a worker pool.
+the test suite.  Grown from the column x = 0 only, pruned, and yielded
+once they reach y = 0 (_chains' one option), the same chains are the
+vertex tuples of the polygons whose coordinate minima are both 0
+(_anchored_chains), with no second pass.  The dihedral filter
+(_has_smaller_image) keeps those that can be canonical forms, for
+enumerate_classes and the minimal sweep.  map_polygons maps a function
+over polygons or vertex tuples, in this process or over a worker pool.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ def enumerate_convex(n: int, include_degenerate: bool = False,
     """
     _check_grid(n, limit)
     return (ConvexPolygon._trusted(tuple(Point(x, y) for x, y in chain))
-            for chain in _chains(n, include_degenerate))
+            for chain in _chains(n) if include_degenerate or len(chain) >= 3)
 
 
 def _anchored_chains(n: int) -> Iterator[tuple]:
@@ -54,9 +55,8 @@ def _anchored_chains(n: int) -> Iterator[tuple]:
     integer pairs, in the same order.
 
     Such a polygon starts at a vertex v0 in the column x = 0, so only
-    chains from there are grown, and those whose smallest y is not 0 are
-    skipped.  Most of those are never grown.  Counterclockwise from v0,
-    the lexicographically smallest vertex, the edges heading forward
+    chains from there are grown.  Counterclockwise from v0, the
+    lexicographically smallest vertex, the edges heading forward
     (lexicographically) come first and those heading backward last, and
     the edge angles advance through less than a full turn.  So y falls
     along forward edges heading down, then rises, then falls back to v0
@@ -65,32 +65,30 @@ def _anchored_chains(n: int) -> Iterator[tuple]:
     that rise or on the final fall, hence no lower than the chain's last
     vertex or than v0.  A chain with every vertex above y = 0 whose last
     edge does not head down is therefore dropped together with every
-    chain grown from it (_grow's `lowest`): no polygon reaching y = 0 is
-    lost, and the others keep their order.
+    chain grown from it: no polygon reaching y = 0 is lost.  The walk
+    carries each chain's smallest y (_grow's `lowest`) and yields a chain
+    just when it is 0, as a scan would, at its place in the unpruned walk.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"grid size must be a positive integer, got {n!r}")
-    return (chain for chain in _chains(n, True, anchored=True)
-            if min(y for _, y in chain) == 0)
+    return _chains(n, anchored=True)
 
 
-def _chains(n: int, include_degenerate: bool, anchored: bool = False) -> Iterator[tuple]:
-    """Chains from each grid point in x-major order as their
-    lexicographically smallest vertex; with anchored, only from the
-    column x = 0, pruned as _anchored_chains describes."""
+def _chains(n: int, anchored: bool = False) -> Iterator[tuple]:
+    """Chains, points and segments too, from each grid point in x-major
+    order as their lexicographically smallest vertex; with anchored,
+    only from the column x = 0, as _anchored_chains describes."""
     grid = [(x, y) for x in range(n + 1) for y in range(n + 1)]
     for i, v0 in enumerate(grid[:n + 1] if anchored else grid):
-        if include_degenerate:
+        high = v0[1] if anchored else 0
+        if not high:
             yield (v0,)
         pool = grid[i + 1:]
-        if include_degenerate:
-            for w in pool:
-                yield (v0, w)
+        yield from ((v0, w) for w in pool if not (high and w[1]))
         for w in pool:
-            lowest = min(v0[1], w[1]) if anchored else 0
-            if lowest and w[1] >= v0[1]:
+            if high and w[1] >= high:
                 continue
-            yield from _grow(v0, [v0, w], pool, lowest)
+            yield from _grow(v0, [v0, w], pool, min(high, w[1]))
 
 
 def _grow(v0, chain, pool, lowest=0) -> Iterator[tuple]:
@@ -106,13 +104,14 @@ def _grow(v0, chain, pool, lowest=0) -> Iterator[tuple]:
     turns at v0 and at w of the chain closed back to v0, so a kept chain,
     closed, turns left everywhere, and as its edge angles advance through
     less than a full turn before the closing edge it winds once: it is a
-    strictly convex polygon, yielded at once.  No point repeats: w = c
-    makes no turn, and an earlier vertex w of that polygon has v0 on its
-    arc from c to w, so v0 lies strictly right of c -> w.
+    strictly convex polygon.  No point repeats: w = c makes no turn, and
+    an earlier vertex w of that polygon has v0 on its arc from c to w, so
+    v0 lies strictly right of c -> w.
 
     lowest is the chain's smallest y when only polygons reaching y = 0
-    are wanted, and 0 otherwise; while it is positive, an edge c -> w
-    that does not head down ends the chain (see _anchored_chains).
+    are wanted, and 0 otherwise.  While it is positive, an edge c -> w
+    that does not head down ends the chain, and a kept chain grows on
+    but is yielded only if w lies on y = 0 (see _anchored_chains).
     """
     x0, y0 = v0
     fx, fy = chain[1][0] - x0, chain[1][1] - y0
@@ -129,7 +128,8 @@ def _grow(v0, chain, pool, lowest=0) -> Iterator[tuple]:
                 or ex * gy - ey * gx <= 0
                 or (lowest and ey >= 0)):
             continue
-        yield (*chain, w)
+        if not (lowest and wy):
+            yield (*chain, w)
         chain.append(w)
         yield from _grow(v0, chain, pool, min(lowest, wy))
         chain.pop()

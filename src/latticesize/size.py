@@ -149,11 +149,15 @@ def _report(P: ConvexPolygon) -> InvariantsReport:
 
 
 def check_touch(P: ConvexPolygon) -> tuple[Coord, Coord] | None:
-    """Shortcut invariants for polygons spanning equal axis widths.
+    """(ls_square, width) of P when its axis widths are equal, else None.
 
-    When both axis widths equal h, the square size is h and the lattice
-    width is the smaller of h and the two diagonal widths; returns
-    (ls_square, width), or None when the axis widths differ.
+    Let both equal h.  P's touching points on opposite sides of its
+    bounding box differ by (h, s) and by (t, h) with |s|, |t| <= h, so a
+    primitive u = (a, b) has width(P, u) >= |a*h + b*s| >= (|a| - |b|)*h
+    and width(P, u) >= |a*t + b*h| >= (|b| - |a|)*h, at least h unless
+    u = +-(1, 1) or +-(1, -1).  Two of these have determinant 0 or +-2,
+    so no unimodular basis beats the axes, and ls_square(P) = h; the
+    lattice width is the least of h and the two diagonal widths.
     """
     h = width(P, (1, 0))
     if h != width(P, (0, 1)):

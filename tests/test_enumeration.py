@@ -14,6 +14,7 @@ from latticesize import (
     hull,
     ls_square,
 )
+from latticesize import enumeration
 from latticesize.enumeration import _anchored_chains, _chains, map_polygons
 
 
@@ -129,14 +130,25 @@ class TestOrder:
     def test_anchored_pruning_keeps_the_filtered_chains(self, n):
         # the unpruned way: grow every chain from the column x = 0, then
         # keep those whose smallest y is 0
-        column = itertools.takewhile(lambda chain: chain[0][0] == 0, _chains(n, True))
+        column = itertools.takewhile(lambda chain: chain[0][0] == 0, _chains(n))
         want = [chain for chain in column if min(y for _, y in chain) == 0]
         assert list(_anchored_chains(n)) == want
 
-    def test_anchored_pruning_skips_chains(self):
+    def test_anchored_pruning_skips_chains(self, monkeypatch):
         # 24,265 chains from the column x = 0 of {0..4}^2 without pruning,
-        # 18,019 of them reaching y = 0
-        assert sum(1 for _ in _chains(4, True, anchored=True)) == 18_102
+        # 18,019 of them reaching y = 0; the prune shows in fewer _grow calls
+        grow, calls = enumeration._grow, []
+
+        def counted(*args):
+            calls.append(None)
+            return grow(*args)
+
+        monkeypatch.setattr(enumeration, "_grow", counted)
+        assert sum(1 for _ in _chains(4, anchored=True)) == 18_019
+        pruned = len(calls)
+        column = itertools.takewhile(lambda chain: chain[0][0] == 0, _chains(4))
+        assert sum(1 for _ in column) == 24_265
+        assert (pruned, len(calls) - pruned) == (18_051, 24_260)
 
     def test_anchored_guard(self):
         with pytest.raises(InvalidInputError):

@@ -69,6 +69,10 @@ class TestHull:
 
 
 class TestPolygonValidation:
+    def test_no_vertex(self):
+        with pytest.raises(InvalidInputError, match="at least one vertex"):
+            ConvexPolygon(())
+
     def test_repeated_vertex(self):
         with pytest.raises(InvalidInputError):
             ConvexPolygon((Point(0, 0), Point(1, 0), Point(0, 0)))
@@ -306,6 +310,10 @@ class TestDrop:
         P = hull([(0, 0), (2, 0), (0, Fraction(1, 2))])
         with pytest.raises(InvalidInputError):
             drop_vertex(P, Point(2, 0))
+
+    def test_only_point_rejected(self):
+        with pytest.raises(InvalidInputError, match="only lattice point"):
+            drop_vertex(hull([(2, 3)]), (2, 3))
 
     def test_subset_property(self):
         rng = random.Random(19)

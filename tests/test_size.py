@@ -254,3 +254,21 @@ class TestCheckTouch:
             rep = invariants(P)
             assert got == (rep.ls_square, rep.width)
         assert hits > 0
+
+    def test_equal_spans_in_four_grid(self):
+        # the fact check_touch's docstring proves, over every polygon of
+        # {0..4}^2 with equal axis spans, points and segments included
+        hits = 0
+        for P in enumerate_convex(4, include_degenerate=True):
+            got = check_touch(P)
+            if got is not None:
+                hits += 1
+                assert got == (ls_square(P), lattice_width(P)), P
+        assert hits == 14_240
+
+    def test_equal_spans_rational(self):
+        # the proof holds for any convex polygon, not only lattice ones
+        hits = [P for P in RATIONAL_POLYGONS if check_touch(P) is not None]
+        assert (len(hits), sum(P.dim == 2 for P in hits)) == (34, 5)
+        for P in hits:
+            assert check_touch(P) == (ls_square(P), lattice_width(P)), P
