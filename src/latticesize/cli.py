@@ -45,10 +45,16 @@ def _emit(payload) -> None:
 
 
 def _read_polygon(path: str) -> ConvexPolygon:
-    if path == "-":
-        return parse_polygon_text(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_polygon_text(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_polygon_text(text)
 
 
 def _cert_json(cert) -> dict:

@@ -20,8 +20,8 @@ import os
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidInputError
-from .geometry import ConvexPolygon, Point
-from .oracle import _cycle, canonical_form
+from .geometry import ConvexPolygon, Point, _cycle
+from .oracle import canonical_form
 
 DEFAULT_GRID_LIMIT = 5
 _BATCH = 256  # items per worker task when mapping over a pool

@@ -2,8 +2,9 @@
 
 Coordinates are ints or Fractions (ints whenever the value is integral,
 which keeps lattice-polygon arithmetic fast), every predicate is exact,
-and polygons are stored canonically: vertices counterclockwise, no three
-collinear, starting at the lexicographically smallest vertex.  Structural
+and polygons are stored in the canonical vertex order hull returns:
+counterclockwise, no three collinear, starting at the lexicographically
+smallest vertex (_cycle rotates a mapped cycle into it).  Structural
 equality of polygons is therefore geometric equality.  Computations on
 a rational polygon P run on its integer multiple D*P, D the least common
 denominator of its coordinates (_scaled): lattice_points scans D*P in
@@ -63,42 +64,29 @@ def _cross(o: Point, a: Point, b: Point) -> Coord:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
-def _edge_group(dx: Coord, dy: Coord) -> int:
-    # 0 for directions pointing lexicographically forward, 1 for backward
-    return 0 if dx > 0 or (dx == 0 and dy > 0) else 1
-
-
 @dataclass(frozen=True, slots=True)
 class ConvexPolygon:
-    """A point, segment, or convex polygon in canonical vertex order."""
+    """A point, segment, or convex polygon in canonical vertex order.
+
+    The constructor accepts a tuple of Points exactly when hull gives it
+    back unchanged.  hull returns the canonical tuple of any finite point
+    set and returns a canonical tuple unchanged, so a tuple is canonical
+    exactly when it is its own hull.
+    """
 
     vertices: tuple[Point, ...]
 
     def __post_init__(self) -> None:
         vs = tuple(self.vertices)
         object.__setattr__(self, "vertices", vs)
-        n = len(vs)
-        if n == 0:
+        if not vs:
             raise InvalidInputError("polygon needs at least one vertex")
         if not all(isinstance(v, Point) for v in vs):
             raise InvalidInputError("vertices must be Points")
-        if n >= 2 and len(set(vs)) != n:
-            raise InvalidInputError("repeated vertex")
-        if n == 2 and vs[1] < vs[0]:
-            raise InvalidInputError("segment endpoints out of canonical order")
-        if n >= 3:
-            if min(vs) != vs[0]:
-                raise InvalidInputError("vertex list must start at its lexicographic minimum")
-            seen_backward = False
-            for i in range(n):
-                a, b, c = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
-                if _cross(a, b, c) <= 0:
-                    raise InvalidInputError("vertices must be strictly convex counterclockwise")
-                g = _edge_group(b.x - a.x, b.y - a.y)
-                if g == 0 and seen_backward:
-                    # a second angular wrap would mean the cycle winds twice
-                    raise InvalidInputError("vertex cycle is not a simple polygon")
-                seen_backward = seen_backward or g == 1
+        canonical = hull(vs)
+        if canonical.vertices != vs:
+            raise InvalidInputError(
+                f"vertices are not in canonical order; their hull is {canonical!r}")
 
     @classmethod
     def _trusted(cls, vertices: tuple[Point, ...]) -> "ConvexPolygon":
@@ -116,7 +104,7 @@ class ConvexPolygon:
     def is_lattice(self) -> bool:
         return all(v.is_lattice for v in self.vertices)
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         body = ", ".join(f"({v.x}, {v.y})" for v in self.vertices)
         return f"ConvexPolygon[{body}]"
 
@@ -143,6 +131,16 @@ def hull(points: Iterable) -> ConvexPolygon:
             hi.pop()
         hi.append(p)
     return ConvexPolygon._trusted(tuple(lo[:-1] + hi[:-1]))
+
+
+def _cycle(image: list, flipped: bool) -> tuple:
+    """A polygon's vertex cycle mapped to image, as a tuple in canonical
+    vertex order: reversed when the map has determinant -1 (flipped),
+    then rotated to start at its lexicographically smallest vertex."""
+    if flipped:
+        image.reverse()
+    k = image.index(min(image))
+    return tuple(image[k:] + image[:k])
 
 
 def _scaled(P: ConvexPolygon) -> tuple[int, ConvexPolygon]:
@@ -300,9 +298,8 @@ def drop_vertex(P: ConvexPolygon, v: Point) -> ConvexPolygon:
         near = lattice_points(P)   # T is P itself, or P is a segment
     else:
         i = vs.index(v)
-        tri = (vs[i - 1], v, vs[(i + 1) % len(vs)])
-        k = tri.index(min(tri))
-        near = lattice_points(ConvexPolygon._trusted(tri[k:] + tri[:k])) + list(vs)
+        tri = _cycle([vs[i - 1], v, vs[(i + 1) % len(vs)]], False)
+        near = lattice_points(ConvexPolygon._trusted(tri)) + list(vs)
     rest = [p for p in near if p != v]
     if not rest:
         raise InvalidInputError("dropping the only lattice point leaves nothing")

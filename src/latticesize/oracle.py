@@ -20,6 +20,7 @@ from .geometry import (
     IntVec,
     Point,
     Target,
+    _cycle,
     _norm,
     _scaled,
     _unscaled,
@@ -147,16 +148,6 @@ def _square_directions(P: ConvexPolygon) -> tuple[IntVec, ...]:
     report = _report(P)
     D, S = _scaled(P)
     return tuple(candidate_directions(S, _norm(D * report.ls_square), report.basis))
-
-
-def _cycle(image: list, flipped: bool) -> tuple:
-    """A polygon's vertex cycle mapped to image, as a tuple in canonical
-    vertex order: reversed when the map has determinant -1 (flipped),
-    then rotated to start at its lexicographically smallest vertex."""
-    if flipped:
-        image.reverse()
-    k = image.index(min(image))
-    return tuple(image[k:] + image[:k])
 
 
 def _least_image(P: ConvexPolygon, dirs) -> tuple:

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import latticesize.cli
-from latticesize import UnimodularMap
+from latticesize import EqualityFamily, UnimodularMap, hull
 
 CLI = [sys.executable, "-m", "latticesize.cli"]
 
@@ -252,13 +253,12 @@ class TestEnumerate:
 
     def test_limit_flag(self):
         # the override lets an oversized run start; don't wait for it
-        proc = subprocess.Popen(CLI + ["enumerate", "--n", "6", "--limit", "6"],
-                                stdout=subprocess.PIPE, text=True)
-        try:
-            lines = [proc.stdout.readline() for _ in range(10)]
-        finally:
-            proc.kill()
-            proc.wait()
+        with subprocess.Popen(CLI + ["enumerate", "--n", "6", "--limit", "6"],
+                              stdout=subprocess.PIPE, text=True) as proc:
+            try:
+                lines = [proc.stdout.readline() for _ in range(10)]
+            finally:
+                proc.kill()
         for line in lines:
             x, y = line.strip().split(";")[0].split(",")
             assert 0 <= int(x) <= 6 and 0 <= int(y) <= 6
@@ -351,6 +351,105 @@ class TestCorpusCheck:
         assert "error" in r.stderr and "Traceback" not in r.stderr
 
 
+class TestVerificationFailures:
+    """Exit 2 on every verification failure, forced in-process by
+    patching what the command checks."""
+
+    def _patch_search(self, monkeypatch):
+        # the search finds every size one larger than the fast path
+        real = latticesize.cli.brute_force_lattice_size
+        monkeypatch.setattr(latticesize.cli, "brute_force_lattice_size",
+                            lambda P, target: real(P, target) + 1)
+
+    def test_oracle_disagreement(self, monkeypatch, capsys, pentagon_file):
+        self._patch_search(monkeypatch)
+        code = latticesize.cli.main(["oracle", pentagon_file])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 2 and data["agree"] is False
+        for target in ("square", "simplex"):
+            got = data[target]
+            assert got["agree"] is False
+            assert Fraction(got["search"]) == Fraction(got["fast"]) + 1
+
+    def test_negative_bound_slack(self, monkeypatch, capsys, pentagon_file):
+        real = latticesize.cli.check_bounds
+        monkeypatch.setattr(latticesize.cli, "check_bounds",
+                            lambda P: dataclasses.replace(real(P), slack_wh=-1))
+        code = latticesize.cli.main(["verify-bounds", pentagon_file])
+        out, err = capsys.readouterr()
+        assert code == 2 and json.loads(out)["slack_wh"] == "-1"
+        assert err == "error: a bound reported negative slack\n"
+
+    def test_minimal_mismatch(self, monkeypatch, capsys):
+        real = latticesize.cli.verify_classification
+
+        def search_only(h, **kw):
+            # the first search class goes missing from the families
+            rep = real(h, **kw)
+            return dataclasses.replace(rep, family_classes=rep.family_classes[1:],
+                                       only_in_search=rep.search_classes[:1])
+
+        monkeypatch.setattr(latticesize.cli, "verify_classification", search_only)
+        code = latticesize.cli.main(["minimal", "--h", "2", "--mode", "verify"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 2 and data["match"] is False
+        assert data["only_in_search"] == ["0,0;0,2"] and data["only_in_families"] == []
+
+    def _corpus_check(self, capsys):
+        code = latticesize.cli.main(["corpus-check", "--n", "1", "--jobs", "1"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 2 and data["ok"] is False and data["polygons"] == 5
+        return data
+
+    def _patch_bounds(self, monkeypatch, **changes):
+        real = latticesize.cli.check_bounds
+        monkeypatch.setattr(latticesize.cli, "check_bounds",
+                            lambda P: dataclasses.replace(real(P), **changes))
+
+    def test_corpus_size_disagreement(self, monkeypatch, capsys):
+        self._patch_search(monkeypatch)
+        data = self._corpus_check(capsys)
+        assert data["failure_count"] == 10
+        assert data["failures"][0] == "0,0;1,0;0,1: fast square size 1 != search 2"
+        assert data["failures"][1] == "0,0;1,0;0,1: fast simplex size 1 != search 2"
+
+    def test_corpus_negative_slack(self, monkeypatch, capsys):
+        self._patch_bounds(monkeypatch, slack_wl=-1)
+        data = self._corpus_check(capsys)
+        assert data["failure_count"] == 5
+        assert data["failures"][0] == "0,0;1,0;0,1: negative wl slack -1"
+
+    def test_corpus_simplex_equality_without_family(self, monkeypatch, capsys):
+        # every simplex slack of {0..1}^2 is 0; no square slack is checked
+        self._patch_bounds(monkeypatch, equality_family=None, slack_square=None)
+        data = self._corpus_check(capsys)
+        assert data["failure_count"] == 5
+        assert data["failures"][0] == \
+            "0,0;1,0;0,1: simplex equality does not match its family"
+        assert all(f.endswith(": simplex equality does not match its family")
+                   for f in data["failures"])
+
+    def test_corpus_square_equality_without_family(self, monkeypatch, capsys):
+        # the four triangles have square slack 0 but lose THIN_TRIANGLE
+        self._patch_bounds(monkeypatch, equality_family=EqualityFamily.UNIT_SQUARE)
+        data = self._corpus_check(capsys)
+        assert data["failure_count"] == 4
+        assert data["failures"][0] == \
+            "0,0;1,0;0,1: square equality does not match its family"
+        assert all(f.endswith(": square equality does not match its family")
+                   for f in data["failures"])
+
+    def test_corpus_classification_mismatch(self, monkeypatch, capsys):
+        real = latticesize.cli.verify_classification
+        monkeypatch.setattr(
+            latticesize.cli, "verify_classification",
+            lambda h, **kw: dataclasses.replace(real(h, **kw), only_in_families=(
+                hull([(0, 0), (1, 0), (1, 1), (0, 1)]),)))
+        data = self._corpus_check(capsys)
+        assert data["failures"] == ["classification mismatch at h=1"]
+        assert data["classification"] == [{"h": 1, "classes": 1, "match": False}]
+
+
 class TestJobsVariable:
     """$LATTICESIZE_JOBS is read only by commands that use workers; none
     of these values starts a pool."""
@@ -397,6 +496,24 @@ class TestExitCodes:
         r = run("invariants", "-", stdin="0 0\n1e200000 1\n0 1\n")
         assert r.returncode == 1
         assert "bad coordinate" in r.stderr
+
+    @pytest.mark.parametrize("via_file", [True, False])
+    def test_non_utf8_input(self, tmp_path, via_file):
+        # stdin decodes strictly under PYTHONIOENCODING=utf-8
+        raw = b"0 0\n1 0\n\xff\xfe 1\n"
+        env = dict(os.environ, PYTHONIOENCODING="utf-8")
+        if via_file:
+            path = tmp_path / "bad.txt"
+            path.write_bytes(raw)
+            r = subprocess.run(CLI + ["invariants", str(path)], env=env, capture_output=True)
+        else:
+            r = subprocess.run(CLI + ["invariants", "-"], input=raw, env=env,
+                               capture_output=True)
+        err = r.stderr.decode()
+        assert r.returncode == 1 and r.stdout == b""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not UTF-8" in err and "Traceback" not in err
+        assert (str(path) if via_file else "error: -:") in err
 
     def test_unknown_subcommand(self):
         assert run("frobnicate").returncode == 1

@@ -100,6 +100,91 @@ class TestPolygonValidation:
             ConvexPolygon((Point(1, 0), Point(0, 0)))
 
 
+def _reference_validate(vertices) -> None:
+    """The earlier hand-written validator of ConvexPolygon, kept verbatim
+    as the reference for which vertex tuples it accepts."""
+    def _cross(o, a, b):
+        return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+    def _edge_group(dx, dy):
+        # 0 for directions pointing lexicographically forward, 1 for backward
+        return 0 if dx > 0 or (dx == 0 and dy > 0) else 1
+
+    vs = tuple(vertices)
+    n = len(vs)
+    if n == 0:
+        raise InvalidInputError("polygon needs at least one vertex")
+    if not all(isinstance(v, Point) for v in vs):
+        raise InvalidInputError("vertices must be Points")
+    if n >= 2 and len(set(vs)) != n:
+        raise InvalidInputError("repeated vertex")
+    if n == 2 and vs[1] < vs[0]:
+        raise InvalidInputError("segment endpoints out of canonical order")
+    if n >= 3:
+        if min(vs) != vs[0]:
+            raise InvalidInputError("vertex list must start at its lexicographic minimum")
+        seen_backward = False
+        for i in range(n):
+            a, b, c = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
+            if _cross(a, b, c) <= 0:
+                raise InvalidInputError("vertices must be strictly convex counterclockwise")
+            g = _edge_group(b.x - a.x, b.y - a.y)
+            if g == 0 and seen_backward:
+                # a second angular wrap would mean the cycle winds twice
+                raise InvalidInputError("vertex cycle is not a simple polygon")
+            seen_backward = seen_backward or g == 1
+
+
+def _validation_corpus():
+    """Seeded vertex tuples, valid and invalid: every polygon of
+    {0..2}^2 (points and segments included) with each rotation, its
+    reversal, a repeated first vertex and one swapped pair; random tuples
+    of 1 to 7 rational Points with their hulls and their star cycles
+    (every second vertex, which winds twice for odd n >= 5); and the
+    five-point star, the empty tuple and a tuple of plain pairs."""
+    rng = random.Random(13)
+    for P in enumerate_convex(2, include_degenerate=True):
+        vs = P.vertices
+        for k in range(len(vs)):
+            yield vs[k:] + vs[:k]
+        yield vs[::-1]
+        yield vs[:1] + vs
+        if len(vs) >= 2:
+            i = rng.randrange(len(vs) - 1)
+            yield vs[:i] + (vs[i + 1], vs[i]) + vs[i + 2:]
+    for _ in range(2500):
+        vs = tuple(Point(Fraction(rng.randint(-4, 4), d), Fraction(rng.randint(-4, 4), d))
+                   for d in (rng.randint(1, 3) for _ in range(rng.randint(1, 7))))
+        yield vs
+        hv = hull(vs).vertices
+        yield hv
+        yield hv[::2] + hv[1::2]
+    yield tuple(Point(x, y) for x, y in ((-1, 2), (2, 0), (1, 4), (0, 0), (3, 2)))
+    yield ()
+    yield ((0, 0), (1, 0), (0, 1))
+
+
+def _accepts(validate, vs) -> bool:
+    try:
+        validate(vs)
+    except InvalidInputError:
+        return False
+    return True
+
+
+class TestValidationReference:
+    def test_same_decisions_as_reference(self):
+        cases = list(_validation_corpus())
+        want = [_accepts(_reference_validate, vs) for vs in cases]
+        got = [_accepts(ConvexPolygon, vs) for vs in cases]
+        assert got == want
+        assert len(cases) == 8834 and sum(want) == 4065
+
+    def test_rejection_shows_the_hull(self):
+        with pytest.raises(InvalidInputError, match=r"\(0, 0\), \(1, 0\), \(0, 1\)"):
+            ConvexPolygon((Point(0, 0), Point(0, 1), Point(1, 0)))
+
+
 class TestPoint:
     def test_is_a_normalised_pair(self):
         p = Point(1, 2)
