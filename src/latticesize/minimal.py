@@ -163,21 +163,13 @@ def _has_long_pair(h: int, vs: tuple) -> bool:
                for (x1, y1), (x2, y2) in itertools.combinations(vs, 2))
 
 
-def _may_sweep(h: int, vs: tuple) -> bool:
-    """Whether the polygon with vertex tuple vs, both coordinate minima 0,
-    can be the canonical form of a minimal polygon of square size h;
-    the rejections are argued in verify_classification."""
-    # the square size never exceeds the larger axis span
-    if max(max(v) for v in vs) < h:
-        return False
-    if len(vs) >= 3 and _has_long_pair(h, vs):
-        return False
-    return not _has_smaller_image(vs)
-
-
 def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
-    """Canonical form if the polygon with canonical vertex tuple vs is a
-    minimal polygon of square size h."""
+    """Canonical form of the polygon with vertex tuple vs, both coordinate
+    minima 0, if it is a minimal polygon of square size h that can be its
+    own canonical form, else None; verify_classification argues the
+    rejections."""
+    if (len(vs) >= 3 and _has_long_pair(h, vs)) or _has_smaller_image(vs):
+        return None
     P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
     if ls_square(P) != h or not is_minimal(P):
         return None
@@ -191,29 +183,30 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     Every equivalence class of square size h has its canonical form C
     inside the corner square of side h, so sweeping the full grid
     {0..h}^2 (degenerate members included) meets each class at least
-    once.  The sweep tests only polygons that can be such a C, and every
-    polygon it tests gets the full test, so its class set is the full
-    grid's:
+    once.  _sweep_one rejects only polygons that cannot be such a C of a
+    minimal polygon, and every polygon it keeps gets the full test, so
+    its class set is the full grid's:
 
     - C has both coordinate minima 0 and is no larger than its 7 other
       dihedral images, so it is a tuple of _anchored_chains that
       _has_smaller_image keeps (see enumerate_classes).
-    - A polygon whose axis spans are both below h, a single point among
-      them, has square size below h.
     - A polygon with at least 3 vertices, two of which differ by a vector
       whose gcd is at least h, is not minimal: dropping a third vertex
       keeps the segment between those two, of lattice length at least
       h, and square size is monotone under inclusion, so the drop keeps
       square size h.
 
-    Only the generator's integer vertex tuples that pass these tests
-    become polygons, in _sweep_one, which measures their square size
-    first: a polygon of any other square size belongs to no class of
-    size h, so only those of square size h go through is_minimal and
-    canonical_form.  The sweep cost grows quickly with h, hence the
-    guard; raise the limit explicitly for a longer run, and pass several
-    jobs to spread the minimality tests over worker processes (see
-    map_polygons).
+    These two tests run on the integer vertex tuple; only a tuple that
+    passes both becomes a polygon, whose square size _sweep_one measures
+    first.  A polygon of any other square size belongs to no class of
+    size h; this includes every polygon whose axis spans are both below
+    h, a single point among them, since the identity map fits it in the
+    square of its larger span.  Only polygons of square size h go
+    through is_minimal and canonical_form.  The sweep cost grows
+    quickly with h, hence the guard; raise the limit explicitly for a
+    longer run, and pass several jobs to spread the tuple tests and the
+    polygon tests over worker processes (see map_polygons), while the
+    tuples are generated in the calling process.
     """
     if not isinstance(h, int) or h < 1:
         raise InvalidInputError(f"square size must be a positive integer, got {h!r}")
@@ -221,8 +214,7 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
         raise ResourceLimitError(
             f"classification sweep for h={h} exceeds the limit {limit}; "
             "pass a larger limit to run it anyway")
-    candidates = (vs for vs in _anchored_chains(h) if _may_sweep(h, vs))
-    found = set(map_polygons(functools.partial(_sweep_one, h), candidates, jobs))
+    found = set(map_polygons(functools.partial(_sweep_one, h), _anchored_chains(h), jobs))
     found.discard(None)
     family = tuple(generate_minimal(h))
     search = tuple(sorted(found, key=_class_key))

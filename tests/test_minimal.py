@@ -21,9 +21,10 @@ from latticesize import (
 )
 from latticesize.enumeration import _anchored_chains, _has_smaller_image
 from latticesize.geometry import width
+from latticesize import minimal
 from latticesize.minimal import (
     _has_long_pair,
-    _may_sweep,
+    _sweep_one,
     quad_reflect_params,
 )
 
@@ -174,9 +175,10 @@ class TestVerification:
         assert set(report.search_classes) == full
         assert len(report.search_classes) == len(full)
 
-    def test_parallel_agrees(self):
-        seq = verify_classification(3)
-        par = verify_classification(3, jobs=2)
+    @pytest.mark.parametrize("h", [3, 4])
+    def test_parallel_agrees(self, h):
+        seq = verify_classification(h)
+        par = verify_classification(h, jobs=2)
         assert seq == par
 
     def test_guards(self):
@@ -209,11 +211,15 @@ class TestSweepFilters:
         assert set(report.search_classes) == unfiltered
         assert report.matches
 
-    @pytest.mark.parametrize("h,count", [(1, 2), (2, 6), (3, 69), (4, 871), (5, 9_971)])
-    def test_survivor_counts(self, h, count):
+    @pytest.mark.parametrize("h,count", [(1, 3), (2, 11), (3, 100), (4, 1_129), (5, 12_401)])
+    def test_survivor_counts(self, h, count, monkeypatch):
         # a filter that rejects too little keeps the class set, so only
-        # the count of polygons left to test shows it
-        assert sum(1 for vs in _anchored_chains(h) if _may_sweep(h, vs)) == count
+        # the count of polygons built shows it; the stand-in square size
+        # -1 is never h, so no polygon goes on to its vertex drops
+        built = []
+        monkeypatch.setattr(minimal, "ls_square", lambda P: built.append(P) or -1)
+        assert not any(_sweep_one(h, vs) for vs in _anchored_chains(h))
+        assert len(built) == count
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_pair_rejections_are_not_minimal(self, h):
