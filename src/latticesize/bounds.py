@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DegenerateInputError, InvalidInputError
-from .geometry import ConvexPolygon, Coord, _norm, hull
+from .geometry import ConvexPolygon, Coord, _denominator, _unscaled, hull
 from .oracle import lattice_equivalent
 from .size import _report
 
@@ -95,17 +95,25 @@ def extremal_family(P: ConvexPolygon) -> EqualityFamily | None:
     return None
 
 
+def _times(x: Coord, m: int) -> int:
+    """x * m for a rational x whose denominator divides m."""
+    return x.numerator * (m // x.denominator)
+
+
 def check_bounds(P: ConvexPolygon) -> BoundsReport:
     """Evaluate every applicable bound on a full-dimensional polygon."""
     if P.dim != 2:
         raise DegenerateInputError("bounds apply to full-dimensional polygons")
     rep = _report(P)
-    a = rep.area
-    slack_wh = _norm(a - Fraction(3, 8) * rep.width * rep.ls_square)
-    slack_wl = _norm(a - Fraction(1, 4) * rep.width * rep.ls_simplex)
-    if P.is_lattice:
-        slack_simplex = _norm(a - Fraction(rep.ls_simplex, 2))
-        slack_square = _norm(a - Fraction(rep.ls_square, 2))
+    D = _denominator(P)
+    # twice the area and the three sizes of D*P, all integers
+    t = _times(rep.area, 2 * D * D)
+    w, h, l = _times(rep.width, D), _times(rep.ls_square, D), _times(rep.ls_simplex, D)
+    slack_wh = _unscaled(4 * t - 3 * w * h, 8 * D * D)
+    slack_wl = _unscaled(2 * t - w * l, 4 * D * D)
+    if D == 1:  # a lattice polygon
+        slack_simplex = _unscaled(t - l, 2)
+        slack_square = _unscaled(t - h, 2)
         # a family match forces one of the slacks to zero, so the search
         # is only worth running when a bound is tight
         family = None

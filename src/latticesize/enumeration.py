@@ -5,18 +5,22 @@ grown depth-first from each possible lexicographically smallest vertex,
 visit every strictly convex polygon exactly once, already in canonical
 vertex order.  Counts are cross-checked against subset brute force in
 the test suite.  Grown from the column x = 0 only, pruned, and yielded
-once they reach y = 0 (_chains' one option), the same chains are the
-vertex tuples of the polygons whose coordinate minima are both 0
+once they reach y = 0 (_chains' anchored option), the same chains are
+the vertex tuples of the polygons whose coordinate minima are both 0
 (_anchored_chains), with no second pass.  The dihedral filter
 (_has_smaller_image) keeps those that can be canonical forms, for
-enumerate_classes and the minimal sweep.  map_polygons maps a function
-over polygons or vertex tuples, in this process or over a worker pool.
+enumerate_classes and the minimal sweep.  For that sweep, _chains' sweep
+option also cuts every chain that holds a segment of lattice length at
+least the grid size, or whose axis-swapped image starts lower, before it
+is grown further.  map_polygons maps a function over polygons or vertex
+tuples, in this process or over a worker pool.
 """
 from __future__ import annotations
 
 import itertools
 import multiprocessing
 import os
+from math import gcd
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidInputError
@@ -74,24 +78,48 @@ def _anchored_chains(n: int) -> Iterator[tuple]:
     return _chains(n, anchored=True)
 
 
-def _chains(n: int, anchored: bool = False) -> Iterator[tuple]:
+def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tuple]:
     """Chains, points and segments too, from each grid point in x-major
     order as their lexicographically smallest vertex; with anchored,
-    only from the column x = 0, as _anchored_chains describes."""
+    only from the column x = 0, as _anchored_chains describes.
+
+    With sweep too, n is the square size h of verify_classification's
+    sweep, and the anchored chains it would reject on a prefix are not
+    grown; what is left is a subsequence, in the same order.  A chain
+    carries the set of points it may not take (_grow's `banned`):
+
+    - pair prune: every point w' with gcd(w' - u) >= h for a vertex u of
+      the chain.  A polygon with three or more vertices, two of which
+      span such a segment, is not minimal (see verify_classification),
+      and so is every polygon grown from the chain.  The 2-point chain
+      (v0, w) is still yielded as a segment, and only its growth stops.
+    - swap prune: the points (x, 0) with x < c for v0 = (0, c).  The
+      first vertex of a chain on y = 0 is (x1, 0) with x1 the least x
+      there, since later vertices on that row lie further right.  The
+      axis swap maps the polygon to one starting at (0, x1), smaller
+      than (0, c) when x1 < c, so _has_smaller_image rejects every
+      completion, the segment (v0, (x1, 0)) among them.
+    """
     grid = [(x, y) for x in range(n + 1) for y in range(n + 1)]
+    # with sweep, the grid points each point spans a segment of lattice
+    # length at least n with; without, none
+    far = {p: frozenset(q for q in grid if sweep and q != p
+                        and gcd(q[0] - p[0], q[1] - p[1]) >= n) for p in grid}
     for i, v0 in enumerate(grid[:n + 1] if anchored else grid):
         high = v0[1] if anchored else 0
         if not high:
             yield (v0,)
         pool = grid[i + 1:]
-        yield from ((v0, w) for w in pool if not (high and w[1]))
+        low = frozenset((x, 0) for x in range(high) if sweep)
+        yield from ((v0, w) for w in pool if not (high and w[1]) and w not in low)
+        banned = low | far[v0]
         for w in pool:
-            if high and w[1] >= high:
+            if (high and w[1] >= high) or w in banned:
                 continue
-            yield from _grow(v0, [v0, w], pool, min(high, w[1]))
+            yield from _grow(v0, [v0, w], pool, min(high, w[1]), far, banned | far[w])
 
 
-def _grow(v0, chain, pool, lowest=0) -> Iterator[tuple]:
+def _grow(v0, chain, pool, lowest, far, banned) -> Iterator[tuple]:
     """Extend a chain of two or more grid points, v0 first, by one more
     point in all valid ways, yielding each polygon so made.
 
@@ -112,6 +140,12 @@ def _grow(v0, chain, pool, lowest=0) -> Iterator[tuple]:
     are wanted, and 0 otherwise.  While it is positive, an edge c -> w
     that does not head down ends the chain, and a kept chain grows on
     but is yielded only if w lies on y = 0 (see _anchored_chains).
+
+    A point of banned ends the chain: it is neither yielded nor grown.
+    A kept w adds far[w], the points it spans a long segment with, to
+    the set its extensions get.  Both are empty outside the sweep's mode
+    (see _chains), whose prunes hold for every extension of a chain they
+    drop, so no chain the sweep keeps is lost.
     """
     x0, y0 = v0
     fx, fy = chain[1][0] - x0, chain[1][1] - y0
@@ -126,12 +160,14 @@ def _grow(v0, chain, pool, lowest=0) -> Iterator[tuple]:
                 or (last_backward and (ex > 0 or (ex == 0 and ey > 0)))
                 or fx * (wy - y0) - fy * (wx - x0) <= 0
                 or ex * gy - ey * gx <= 0
-                or (lowest and ey >= 0)):
+                or (lowest and ey >= 0)
+                or w in banned):
             continue
         if not (lowest and wy):
             yield (*chain, w)
         chain.append(w)
-        yield from _grow(v0, chain, pool, min(lowest, wy))
+        yield from _grow(v0, chain, pool, min(lowest, wy), far,
+                         banned | far[w] if far[w] else banned)
         chain.pop()
 
 

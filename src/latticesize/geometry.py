@@ -143,6 +143,18 @@ def _cycle(image: list, flipped: bool) -> tuple:
     return tuple(image[k:] + image[:k])
 
 
+def _denominator(P: ConvexPolygon) -> int:
+    """The least common denominator D of P's coordinates, 1 for a lattice
+    polygon."""
+    D = 1
+    for v in P.vertices:
+        if v.x.__class__ is not int:
+            D = math.lcm(D, v.x.denominator)
+        if v.y.__class__ is not int:
+            D = math.lcm(D, v.y.denominator)
+    return D
+
+
 def _scaled(P: ConvexPolygon) -> tuple[int, ConvexPolygon]:
     """(D, D*P) for the least common denominator D of P's coordinates.
 
@@ -150,12 +162,7 @@ def _scaled(P: ConvexPolygon) -> tuple[int, ConvexPolygon]:
     a positive number keeps both the lexicographic order and the
     orientation.  A lattice polygon comes back as (1, P) itself.
     """
-    D = 1
-    for v in P.vertices:
-        if v.x.__class__ is not int:
-            D = math.lcm(D, v.x.denominator)
-        if v.y.__class__ is not int:
-            D = math.lcm(D, v.y.denominator)
+    D = _denominator(P)
     if D == 1:
         return 1, P
     return D, ConvexPolygon._trusted(tuple(

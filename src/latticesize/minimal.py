@@ -15,10 +15,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator, Literal
 
-from .enumeration import _anchored_chains, _has_smaller_image, map_polygons
+from .enumeration import _chains, _has_smaller_image, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import ConvexPolygon, Point, hull
 from .oracle import canonical_form, is_minimal
@@ -156,11 +155,11 @@ class ClassificationReport:
         return not self.only_in_families and not self.only_in_search
 
 
-def _has_long_pair(h: int, vs: tuple) -> bool:
-    """Whether two of the vertices vs differ by a vector whose gcd is at
-    least h, i.e. span a segment of lattice length at least h."""
-    return any(gcd(x1 - x2, y1 - y2) >= h
-               for (x1, y1), (x2, y2) in itertools.combinations(vs, 2))
+def _has_loose_vertex(h: int, vs: tuple) -> bool:
+    """For a vertex tuple vs whose two axis spans are both h, whether
+    some vertex is the only vertex on no side of the box [0, h]^2."""
+    sides = [[v for v in vs if v[i] == end] for i in (0, 1) for end in (0, h)]
+    return len({side[0] for side in sides if len(side) == 1}) < len(vs)
 
 
 def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
@@ -168,10 +167,14 @@ def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
     minima 0, if it is a minimal polygon of square size h that can be its
     own canonical form, else None; verify_classification argues the
     rejections."""
-    if (len(vs) >= 3 and _has_long_pair(h, vs)) or _has_smaller_image(vs):
+    xs, ys = zip(*vs)
+    span_x, span_y = max(xs), max(ys)
+    square = span_x == span_y == h
+    if ((span_x < h and span_y < h) or (square and _has_loose_vertex(h, vs))
+            or _has_smaller_image(vs)):
         return None
     P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
-    if ls_square(P) != h or not is_minimal(P):
+    if (not square and ls_square(P) != h) or not is_minimal(P):
         return None
     return canonical_form(P)
 
@@ -183,30 +186,45 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     Every equivalence class of square size h has its canonical form C
     inside the corner square of side h, so sweeping the full grid
     {0..h}^2 (degenerate members included) meets each class at least
-    once.  _sweep_one rejects only polygons that cannot be such a C of a
-    minimal polygon, and every polygon it keeps gets the full test, so
-    its class set is the full grid's:
+    once.  The sweep rejects only polygons that cannot be such a C of a
+    minimal polygon of square size h, and every polygon it keeps gets the
+    full test, so its class set is the full grid's.  Two rejections cut
+    whole chains in the generator, _chains(h, anchored=True, sweep=True),
+    before a tuple is finished:
 
-    - C has both coordinate minima 0 and is no larger than its 7 other
-      dihedral images, so it is a tuple of _anchored_chains that
-      _has_smaller_image keeps (see enumerate_classes).
-    - A polygon with at least 3 vertices, two of which differ by a vector
-      whose gcd is at least h, is not minimal: dropping a third vertex
-      keeps the segment between those two, of lattice length at least
-      h, and square size is monotone under inclusion, so the drop keeps
-      square size h.
+    - C has both coordinate minima 0, so it is a tuple of
+      _anchored_chains(h).
+    - Pair prune: a polygon with at least 3 vertices, two of which differ
+      by a vector whose gcd is at least h, is not minimal.  Dropping a
+      third vertex keeps the segment between those two, of lattice length
+      at least h, and square size is monotone under inclusion, so the
+      drop keeps square size at least h.
+    - Swap prune: for the start (0, c), a chain that first reaches
+      y = 0 at (x1, 0) with x1 < c grows only into polygons whose
+      axis-swapped image starts at (0, x1), lower, so none of them is a
+      canonical form (see _chains).
 
-    These two tests run on the integer vertex tuple; only a tuple that
-    passes both becomes a polygon, whose square size _sweep_one measures
-    first.  A polygon of any other square size belongs to no class of
-    size h; this includes every polygon whose axis spans are both below
-    h, a single point among them, since the identity map fits it in the
-    square of its larger span.  Only polygons of square size h go
-    through is_minimal and canonical_form.  The sweep cost grows
-    quickly with h, hence the guard; raise the limit explicitly for a
-    longer run, and pass several jobs to spread the tuple tests and the
-    polygon tests over worker processes (see map_polygons), while the
-    tuples are generated in the calling process.
+    _sweep_one then decides each tuple on its integers, reading the two
+    axis spans off it, before any polygon is built:
+
+    - Both spans below h: the identity map fits the polygon, a single
+      point among them, in the square of its larger span, so its square
+      size is below h.
+    - Both spans h: the square size is h, as check_touch proves, so no
+      reduction is needed.  Box rejection: if some vertex is not the only
+      vertex on any side of the box [0, h]^2, dropping it keeps a vertex
+      on every side, so the drop keeps both spans h and square size h,
+      and the polygon is not minimal.
+    - Dihedral filter: C is no larger than its 7 other dihedral images,
+      so _has_smaller_image keeps it (see enumerate_classes).
+
+    Only a tuple with one span h and the other below h is reduced, and
+    it is rejected unless its square size ls_square(P) is h.  The
+    polygons left go through is_minimal and canonical_form.  The sweep
+    cost grows quickly with h, hence the guard; raise the limit
+    explicitly for a longer run, and pass several jobs to spread the
+    tuple tests and the polygon tests over worker processes (see
+    map_polygons), while the tuples are generated in the calling process.
     """
     if not isinstance(h, int) or h < 1:
         raise InvalidInputError(f"square size must be a positive integer, got {h!r}")
@@ -214,7 +232,8 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
         raise ResourceLimitError(
             f"classification sweep for h={h} exceeds the limit {limit}; "
             "pass a larger limit to run it anyway")
-    found = set(map_polygons(functools.partial(_sweep_one, h), _anchored_chains(h), jobs))
+    chains = _chains(h, anchored=True, sweep=True)
+    found = set(map_polygons(functools.partial(_sweep_one, h), chains, jobs))
     found.discard(None)
     family = tuple(generate_minimal(h))
     search = tuple(sorted(found, key=_class_key))

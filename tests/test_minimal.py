@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 
@@ -19,11 +20,12 @@ from latticesize import (
     triangle_minimal,
     verify_classification,
 )
-from latticesize.enumeration import _anchored_chains, _has_smaller_image
+from latticesize import enumeration
+from latticesize.enumeration import _anchored_chains, _chains, _has_smaller_image
 from latticesize.geometry import width
 from latticesize import minimal
 from latticesize.minimal import (
-    _has_long_pair,
+    _has_loose_vertex,
     _sweep_one,
     quad_reflect_params,
 )
@@ -190,6 +192,27 @@ class TestVerification:
             verify_classification(1, jobs=0)
 
 
+def _has_long_pair(h, vs):
+    """Whether two of the vertices vs differ by a vector whose gcd is at
+    least h, i.e. span a segment of lattice length at least h: the
+    reference for the pair prune of the sweep's generator."""
+    return any(gcd(x1 - x2, y1 - y2) >= h
+               for (x1, y1), (x2, y2) in itertools.combinations(vs, 2))
+
+
+def _sweep_chains(h):
+    return _chains(h, anchored=True, sweep=True)
+
+
+def _survivors(h):
+    """The tuples the sweep generates and the dihedral filter keeps."""
+    return [vs for vs in _sweep_chains(h) if not _has_smaller_image(vs)]
+
+
+def _spans(vs):
+    return max(x for x, _ in vs), max(y for _, y in vs)
+
+
 def _unfiltered_sweep_one(h, P):
     """The sweep's per-polygon test before its rejections on vertex tuples."""
     if len(P.vertices) == 1:
@@ -212,14 +235,22 @@ class TestSweepFilters:
         assert report.matches
 
     @pytest.mark.parametrize("h,count", [(1, 3), (2, 11), (3, 100), (4, 1_129), (5, 12_401)])
-    def test_survivor_counts(self, h, count, monkeypatch):
-        # a filter that rejects too little keeps the class set, so only
-        # the count of polygons built shows it; the stand-in square size
-        # -1 is never h, so no polygon goes on to its vertex drops
-        built = []
+    def test_survivor_counts(self, h, count):
+        # a prune or filter that rejects too little keeps the class set,
+        # so only the count of tuples it leaves shows it
+        assert len(_survivors(h)) == count
+
+    @pytest.mark.parametrize("h,reduced,unreduced", [
+        (1, 1, 1), (2, 4, 2), (3, 44, 6), (4, 522, 14), (5, 5_703, 35)])
+    def test_built_counts(self, h, reduced, unreduced, monkeypatch):
+        # the same for the span and box tests, in the polygons built: one
+        # with one span h is reduced, one with both spans h goes straight
+        # to is_minimal; the stand-ins reject both, so none reaches a drop
+        built, direct = [], []
         monkeypatch.setattr(minimal, "ls_square", lambda P: built.append(P) or -1)
-        assert not any(_sweep_one(h, vs) for vs in _anchored_chains(h))
-        assert len(built) == count
+        monkeypatch.setattr(minimal, "is_minimal", lambda P: direct.append(P) and False)
+        assert not any(_sweep_one(h, vs) for vs in _sweep_chains(h))
+        assert (len(built), len(direct)) == (reduced, unreduced)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_pair_rejections_are_not_minimal(self, h):
@@ -235,3 +266,60 @@ class TestSweepFilters:
         for vs in rejected:
             P = hull(vs)
             assert canonical_form(P) != P
+
+
+class TestSweepPrunes:
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_prunes_keep_the_filtered_list(self, h):
+        # the unpruned way: every anchored tuple, then the pair and
+        # dihedral filters as tuple tests
+        want = [vs for vs in _anchored_chains(h)
+                if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _has_smaller_image(vs)]
+        assert _survivors(h) == want
+
+    def test_prunes_skip_chains(self, monkeypatch):
+        # 18,019 anchored tuples of {0..4}^2 in 18,051 _grow calls
+        # (test_anchored_pruning_skips_chains); the prunes leave 6,348
+        grow, calls = enumeration._grow, []
+
+        def counted(*args):
+            calls.append(None)
+            return grow(*args)
+
+        monkeypatch.setattr(enumeration, "_grow", counted)
+        assert sum(1 for _ in _anchored_chains(4)) == 18_019
+        unpruned = len(calls)
+        assert sum(1 for _ in _sweep_chains(4)) == 6_348
+        assert (unpruned, len(calls) - unpruned) == (18_051, 6_376)
+
+
+class TestSpanDecisions:
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_box_rejections_are_not_minimal(self, h):
+        rejected = [vs for vs in _anchored_chains(h)
+                    if _spans(vs) == (h, h) and _has_loose_vertex(h, vs)]
+        assert rejected
+        assert not any(is_minimal(hull(vs)) for vs in rejected)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_both_spans_h_is_square_size_h(self, h):
+        square = [vs for vs in _survivors(h) if _spans(vs) == (h, h)]
+        assert square
+        assert all(ls_square(hull(vs)) == h for vs in square)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_both_spans_below_h_is_smaller(self, h):
+        small = [vs for vs in _survivors(h) if max(_spans(vs)) < h]
+        assert small
+        assert all(ls_square(hull(vs)) < h for vs in small)
+
+    def test_loose_vertex(self):
+        # the square: every vertex shares both its sides
+        assert _has_loose_vertex(2, ((0, 0), (2, 0), (2, 2), (0, 2)))
+        # each vertex of the triangle is alone on a side
+        assert not _has_loose_vertex(2, ((0, 0), (2, 1), (1, 2)))
+        # (0, 0) and (2, 2) are alone on a side, (2, 0) shares both its sides
+        assert _has_loose_vertex(2, ((0, 0), (2, 0), (2, 2)))
+        # two vertices alone on two sides each leave (2, 1) on none
+        assert _has_loose_vertex(3, ((0, 0), (2, 1), (3, 3)))
+        assert not _has_loose_vertex(3, ((0, 0), (3, 3)))

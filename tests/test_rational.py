@@ -32,7 +32,7 @@ from latticesize import (
     width,
     width_extremal_triangle,
 )
-from latticesize.geometry import _scaled
+from latticesize.geometry import _norm, _scaled
 from latticesize.oracle import candidate_directions
 from latticesize.size import flip_dilates, simplex_dilates
 from conftest import random_unimodular
@@ -200,6 +200,26 @@ def test_bounds_match_fraction_reference(chunk):
         assert rep.equality_family == family, P
         _assert_int_when_integral(rep.slack_wh, rep.slack_wl)
     assert tight > 0
+
+
+def _fraction_slacks(P):
+    """check_bounds' four slacks by Fraction formulas on the invariants."""
+    rep = invariants(P)
+    a = rep.area
+    lattice = P.is_lattice
+    return (_norm(a - Fraction(3, 8) * rep.width * rep.ls_square),
+            _norm(a - Fraction(1, 4) * rep.width * rep.ls_simplex),
+            _norm(a - Fraction(rep.ls_simplex, 2)) if lattice else None,
+            _norm(a - Fraction(rep.ls_square, 2)) if lattice else None)
+
+
+def test_integer_slacks_match_fraction_formulas(corpus3):
+    for P in corpus3 + FULL:
+        rep = check_bounds(P)
+        got = (rep.slack_wh, rep.slack_wl, rep.slack_simplex, rep.slack_square)
+        want = _fraction_slacks(P)
+        assert got == want, P
+        assert [type(x) for x in got] == [type(x) for x in want], P
 
 
 @pytest.mark.parametrize("chunk", range(3))
