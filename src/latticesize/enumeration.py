@@ -11,8 +11,8 @@ the vertex tuples of the polygons whose coordinate minima are both 0
 (_has_smaller_image) keeps those that can be canonical forms, for
 enumerate_classes and the minimal sweep.  For that sweep, _chains' sweep
 option also cuts every chain that holds a segment of lattice length at
-least the grid size, or whose axis-swapped image starts lower, before it
-is grown further.  map_polygons maps a function over polygons or vertex
+least the grid size, or a point on the box's sides that gives a dihedral
+image a lower first vertex, before it is grown further.  map_polygons maps a function over polygons or vertex
 tuples, in this process or over a worker pool.
 """
 from __future__ import annotations
@@ -93,12 +93,17 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
       span such a segment, is not minimal (see verify_classification),
       and so is every polygon grown from the chain.  The 2-point chain
       (v0, w) is still yielded as a segment, and only its growth stops.
-    - swap prune: the points (x, 0) with x < c for v0 = (0, c).  The
-      first vertex of a chain on y = 0 is (x1, 0) with x1 the least x
-      there, since later vertices on that row lie further right.  The
-      axis swap maps the polygon to one starting at (0, x1), smaller
-      than (0, c) when x1 < c, so _has_smaller_image rejects every
-      completion, the segment (v0, (x1, 0)) among them.
+    - band prune: for v0 = (0, c), every point on a side of the box
+      [0, n]^2 whose coordinate t along that side lies outside
+      [c, n - c].  A polygon holding it has a dihedral image whose first
+      vertex (0, c') has c' < c, so _has_smaller_image rejects every
+      completion, segments among them.  With X, Y <= n the two spans, c'
+      is at most (see _has_smaller_image): on y = 0, t for the swap and
+      X - t for the swap then mirror y; on x = n = X, t for mirror x and
+      Y - t for both mirrors; on y = n = Y, t for the swap then mirror x
+      and X - t for the swap then both mirrors; on x = 0, Y - t for
+      mirror y (no chain takes a point below v0 there).  When c > n - c,
+      v0 itself is such a point, and nothing grows from it.
     """
     grid = [(x, y) for x in range(n + 1) for y in range(n + 1)]
     # with sweep, the grid points each point spans a segment of lattice
@@ -107,12 +112,16 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
                         and gcd(q[0] - p[0], q[1] - p[1]) >= n) for p in grid}
     for i, v0 in enumerate(grid[:n + 1] if anchored else grid):
         high = v0[1] if anchored else 0
+        band = frozenset((x, y) for x, y in grid if sweep and (
+            (x in (0, n) and not high <= y <= n - high)
+            or (y in (0, n) and not high <= x <= n - high)))
+        if v0 in band:
+            continue
         if not high:
             yield (v0,)
         pool = grid[i + 1:]
-        low = frozenset((x, 0) for x in range(high) if sweep)
-        yield from ((v0, w) for w in pool if not (high and w[1]) and w not in low)
-        banned = low | far[v0]
+        yield from ((v0, w) for w in pool if not (high and w[1]) and w not in band)
+        banned = band | far[v0]
         for w in pool:
             if (high and w[1] >= high) or w in banned:
                 continue
@@ -175,19 +184,31 @@ def _has_smaller_image(vs: tuple) -> bool:
     """Whether a symmetry of the square maps the polygon with vertex
     tuple vs, both coordinate minima 0, to a smaller vertex tuple once
     translated back to minima 0.  That image is a unimodular image of the
-    same polygon, so vs is then not its canonical form, the least one."""
+    same polygon, so vs is then not its canonical form, the least one.
+
+    vs starts at (0, c), c the least y on x = 0, and an image starts at
+    (0, c') with c' read off a side of the box [0, X] x [0, Y]: the side
+    the image's x = 0 comes from, x = 0 or x = X, or with the swap y = 0
+    or y = Y, holds the vertices whose other coordinate gives c' as its
+    minimum, or as the span minus its maximum when the image mirrors that
+    coordinate.  An image with c' < c is smaller and one with c' > c is
+    larger, so only one with c' = c is built and compared in full.
+    """
+    c = vs[0][1]
     xs = [x for x, _ in vs]
     ys = [y for _, y in vs]
+    X, Y = max(xs), max(ys)
     for swap, fx, fy in _SYMMETRIES:
-        a, b = (ys, xs) if swap else (xs, ys)
-        if fx:
-            top = max(a)
-            a = [top - x for x in a]
-        if fy:
-            top = max(b)
-            b = [top - y for y in b]
-        if _cycle(list(zip(a, b)), swap ^ fx ^ fy) < vs:
+        a, b, A, B = (ys, xs, Y, X) if swap else (xs, ys, X, Y)
+        end = A if fx else 0
+        side = [t for s, t in zip(a, b) if s == end]
+        first = B - max(side) if fy else min(side)
+        if first < c:
             return True
+        if first == c:
+            image = zip([A - s for s in a] if fx else a, [B - t for t in b] if fy else b)
+            if _cycle(list(image), swap ^ fx ^ fy) < vs:
+                return True
     return False
 
 

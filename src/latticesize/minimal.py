@@ -162,6 +162,19 @@ def _has_loose_vertex(h: int, vs: tuple) -> bool:
     return len({side[0] for side in sides if len(side) == 1}) < len(vs)
 
 
+def _has_chord(h: int, vs: tuple) -> bool:
+    """For a vertex tuple vs, both coordinate minima 0, whether its
+    polygon holds lattice points (0, y) and (h, y), or (x, 0) and (x, h):
+    the other coordinates of the vertices on two opposite sides of the
+    box [0, h]^2 then span overlapping integer ranges."""
+    for i in (0, 1):
+        near = [v[1 - i] for v in vs if v[i] == 0]
+        far = [v[1 - i] for v in vs if v[i] == h]
+        if far and max(min(near), min(far)) <= min(max(near), max(far)):
+            return True
+    return False
+
+
 def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
     """Canonical form of the polygon with vertex tuple vs, both coordinate
     minima 0, if it is a minimal polygon of square size h that can be its
@@ -171,7 +184,7 @@ def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
     span_x, span_y = max(xs), max(ys)
     square = span_x == span_y == h
     if ((span_x < h and span_y < h) or (square and _has_loose_vertex(h, vs))
-            or _has_smaller_image(vs)):
+            or (len(vs) >= 3 and _has_chord(h, vs)) or _has_smaller_image(vs)):
         return None
     P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
     if (not square and ls_square(P) != h) or not is_minimal(P):
@@ -199,10 +212,11 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       third vertex keeps the segment between those two, of lattice length
       at least h, and square size is monotone under inclusion, so the
       drop keeps square size at least h.
-    - Swap prune: for the start (0, c), a chain that first reaches
-      y = 0 at (x1, 0) with x1 < c grows only into polygons whose
-      axis-swapped image starts at (0, x1), lower, so none of them is a
-      canonical form (see _chains).
+    - Band prune: for the start (0, c), a chain that takes a point on a
+      side of the box [0, h]^2 whose coordinate along that side lies
+      outside [c, h - c] grows only into polygons with a dihedral image
+      that starts lower, so none of them is a canonical form (see
+      _chains).
 
     _sweep_one then decides each tuple on its integers, reading the two
     axis spans off it, before any polygon is built:
@@ -215,12 +229,19 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       vertex on any side of the box [0, h]^2, dropping it keeps a vertex
       on every side, so the drop keeps both spans h and square size h,
       and the polygon is not minimal.
+    - Chord rejection: a polygon with at least 3 vertices that holds
+      (0, y) and (h, y), or (x, 0) and (x, h), holds a segment of lattice
+      length h.  Dropping a vertex other than those two lattice points
+      keeps them, so, as for the pair prune, the drop keeps square size
+      at least h and the polygon is not minimal.  _has_chord reads this
+      off the vertices on opposite sides of the box.
     - Dihedral filter: C is no larger than its 7 other dihedral images,
       so _has_smaller_image keeps it (see enumerate_classes).
 
     Only a tuple with one span h and the other below h is reduced, and
     it is rejected unless its square size ls_square(P) is h.  The
-    polygons left go through is_minimal and canonical_form.  The sweep
+    polygons left go through is_minimal, which skips every drop its
+    certificate shows to shrink, and canonical_form.  The sweep
     cost grows quickly with h, hence the guard; raise the limit
     explicitly for a longer run, and pass several jobs to spread the
     tuple tests and the polygon tests over worker processes (see

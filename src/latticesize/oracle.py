@@ -28,7 +28,7 @@ from .geometry import (
     drop_vertex,
     hull,
 )
-from .reduction import LatticeBasis
+from .reduction import LatticeBasis, _reduce
 from .size import _MEMO, _report, flip_dilates, ls_square
 
 
@@ -242,13 +242,26 @@ def is_minimal(P: ConvexPolygon) -> bool:
     A proper lattice subpolygon misses some vertex of P, hence lies in
     that vertex's drop, and square size is monotone under inclusion, so
     single drops decide minimality.
+
+    P is reduced once, and h = ls_square(P) is the width of the basis's
+    wider axis.  The drop of a vertex v that is the only vertex at one
+    end of each axis of width h needs no test: P meets that end in v
+    alone, so every other lattice point of P lies at least 1 inside it,
+    and in the reduced frame, where an axis narrower than h is at most
+    h - 1 wide already, the drop fits a box of side h - 1.
     """
     if not P.is_lattice:
         raise InvalidInputError("minimality is about lattice polygons")
     if len(P.vertices) == 1:
         return True
-    h = ls_square(P)
+    basis, w1, h = _reduce(P)
+    certified = set(P.vertices)
+    for u, w in ((basis.u1, w1), (basis.u2, h)):
+        if w == h:
+            row = [u[0] * v.x + u[1] * v.y for v in P.vertices]
+            certified &= {P.vertices[row.index(t)] for t in (min(row), max(row))
+                          if row.count(t) == 1}
     for v in P.vertices:
-        if ls_square(drop_vertex(P, v)) >= h:
+        if v not in certified and ls_square(drop_vertex(P, v)) >= h:
             return False
     return True

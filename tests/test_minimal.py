@@ -21,10 +21,11 @@ from latticesize import (
     verify_classification,
 )
 from latticesize import enumeration
-from latticesize.enumeration import _anchored_chains, _chains, _has_smaller_image
-from latticesize.geometry import width
+from latticesize.enumeration import _SYMMETRIES, _anchored_chains, _chains, _has_smaller_image
+from latticesize.geometry import _cycle, lattice_points, width
 from latticesize import minimal
 from latticesize.minimal import (
+    _has_chord,
     _has_loose_vertex,
     _sweep_one,
     quad_reflect_params,
@@ -155,6 +156,32 @@ class TestGeneration:
         with pytest.raises(InvalidInputError):
             generate_minimal(-1)
 
+    def test_class_counts_are_box_orbits(self):
+        # the classes generate_minimal finds, against the orbits of the
+        # families' vertex sets under the 8 symmetries of the box [0, h]^2,
+        # counted on integer points with no canonical form
+        counts = [1, 2, 4, 8, 17, 32, 60, 102, 169, 262, 396, 572]
+        for h, count in enumerate(counts, start=1):
+            assert len(_box_orbits(h)) == count
+            assert len(generate_minimal(h)) == count
+
+
+def _box_orbits(h):
+    """One representative per orbit of the vertex sets of the segment, the
+    triangles with a + b >= h and the quadrilaterals of both clauses under
+    the symmetries of the box [0, h]^2."""
+    sets = [((0, 0), (h, 0))]
+    sets += [((0, 0), (a, h), (h, b))
+             for a in range(1, h) for b in range(1, h) if a + b >= h]
+    sets += [((a, 0), (0, b), (h, h - c), (h - d, h))
+             for a, b, c, d in itertools.product(range(1, h), repeat=4)
+             if quad_minimal(h, a, b, c, d)]
+    images = (lambda x, y: (x, y), lambda x, y: (h - x, y),
+              lambda x, y: (x, h - y), lambda x, y: (h - x, h - y),
+              lambda x, y: (y, x), lambda x, y: (h - y, x),
+              lambda x, y: (y, h - x), lambda x, y: (h - y, h - x))
+    return {min(tuple(sorted(f(x, y) for x, y in vs)) for f in images) for vs in sets}
+
 
 class TestVerification:
     @pytest.mark.parametrize("h", [1, 2, 3])
@@ -200,6 +227,42 @@ def _has_long_pair(h, vs):
                for (x1, y1), (x2, y2) in itertools.combinations(vs, 2))
 
 
+def _reference_has_smaller_image(vs):
+    """The dihedral filter with every image built and compared in full:
+    the reference for _has_smaller_image."""
+    xs = [x for x, _ in vs]
+    ys = [y for _, y in vs]
+    for swap, fx, fy in _SYMMETRIES:
+        a, b = (ys, xs) if swap else (xs, ys)
+        if fx:
+            top = max(a)
+            a = [top - x for x in a]
+        if fy:
+            top = max(b)
+            b = [top - y for y in b]
+        if _cycle(list(zip(a, b)), swap ^ fx ^ fy) < vs:
+            return True
+    return False
+
+
+def _holds_band_point(h, vs):
+    """Whether vs, starting at (0, c), has a vertex on a side of the box
+    [0, h]^2 whose coordinate along that side lies outside [c, h - c]:
+    the reference for the band prune of the sweep's generator."""
+    c = vs[0][1]
+    return any((x in (0, h) and not c <= y <= h - c) or (y in (0, h) and not c <= x <= h - c)
+               for x, y in vs)
+
+
+def _holds_chord(h, vs):
+    """Whether the polygon hull(vs) holds lattice points (0, y) and (h, y),
+    or (x, 0) and (x, h), found among its lattice points: the reference
+    for _has_chord."""
+    points = set(lattice_points(hull(vs)))
+    return any({(0, t), (h, t)} <= points or {(t, 0), (t, h)} <= points
+               for t in range(h + 1))
+
+
 def _sweep_chains(h):
     return _chains(h, anchored=True, sweep=True)
 
@@ -241,10 +304,10 @@ class TestSweepFilters:
         assert len(_survivors(h)) == count
 
     @pytest.mark.parametrize("h,reduced,unreduced", [
-        (1, 1, 1), (2, 4, 2), (3, 44, 6), (4, 522, 14), (5, 5_703, 35)])
+        (1, 1, 1), (2, 4, 2), (3, 38, 6), (4, 440, 14), (5, 4_775, 35)])
     def test_built_counts(self, h, reduced, unreduced, monkeypatch):
-        # the same for the span and box tests, in the polygons built: one
-        # with one span h is reduced, one with both spans h goes straight
+        # the same for the span, box and chord tests, in the polygons built:
+        # one with one span h is reduced, one with both spans h goes straight
         # to is_minimal; the stand-ins reject both, so none reaches a drop
         built, direct = [], []
         monkeypatch.setattr(minimal, "ls_square", lambda P: built.append(P) or -1)
@@ -258,6 +321,22 @@ class TestSweepFilters:
                     if len(vs) >= 3 and _has_long_pair(h, vs)]
         assert rejected
         assert not any(is_minimal(hull(vs)) for vs in rejected)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_chord_rejections_are_not_minimal(self, h):
+        rejected = [vs for vs in _anchored_chains(h) if len(vs) >= 3 and _has_chord(h, vs)]
+        assert rejected
+        assert not any(is_minimal(hull(vs)) for vs in rejected)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_chord_is_read_off_the_sides(self, h):
+        assert all(_has_chord(h, vs) == _holds_chord(h, vs) for vs in _anchored_chains(h))
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_dihedral_filter_matches_reference(self, h):
+        # 18,019 tuples at h=4; the 178,028 at h=5 agree too, outside Tier-1
+        assert all(_has_smaller_image(vs) == _reference_has_smaller_image(vs)
+                   for vs in _anchored_chains(h))
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_dihedral_rejections_are_not_canonical(self, h):
@@ -277,9 +356,15 @@ class TestSweepPrunes:
                 if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _has_smaller_image(vs)]
         assert _survivors(h) == want
 
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_band_points_are_rejected(self, h):
+        held = [vs for vs in _anchored_chains(h) if _holds_band_point(h, vs)]
+        assert held
+        assert all(_reference_has_smaller_image(vs) for vs in held)
+
     def test_prunes_skip_chains(self, monkeypatch):
         # 18,019 anchored tuples of {0..4}^2 in 18,051 _grow calls
-        # (test_anchored_pruning_skips_chains); the prunes leave 6,348
+        # (test_anchored_pruning_skips_chains); the prunes leave 3,871
         grow, calls = enumeration._grow, []
 
         def counted(*args):
@@ -289,8 +374,8 @@ class TestSweepPrunes:
         monkeypatch.setattr(enumeration, "_grow", counted)
         assert sum(1 for _ in _anchored_chains(4)) == 18_019
         unpruned = len(calls)
-        assert sum(1 for _ in _sweep_chains(4)) == 6_348
-        assert (unpruned, len(calls) - unpruned) == (18_051, 6_376)
+        assert sum(1 for _ in _sweep_chains(4)) == 3_871
+        assert (unpruned, len(calls) - unpruned) == (18_051, 3_870)
 
 
 class TestSpanDecisions:

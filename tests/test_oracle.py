@@ -28,6 +28,7 @@ from latticesize import (
     brute_force_lattice_size,
     canonical_form,
     check_bounds,
+    drop_vertex,
     enumerate_convex,
     gauss_reduce,
     hull,
@@ -39,6 +40,7 @@ from latticesize import (
     thin_triangle,
     width,
 )
+from latticesize import oracle
 from latticesize.geometry import _scaled, _unscaled
 from latticesize.oracle import _cycle, candidate_directions
 from latticesize.size import _MEMO
@@ -331,6 +333,14 @@ class TestMemo:
         assert tracer.self_check(work) == []
 
 
+def _reference_is_minimal(P):
+    """is_minimal with the drop of every vertex tested."""
+    if len(P.vertices) == 1:
+        return True
+    h = ls_square(P)
+    return all(ls_square(drop_vertex(P, v)) < h for v in P.vertices)
+
+
 def _bench_tracer():
     """bench/tracer.py, loaded from the source checkout."""
     path = pathlib.Path(__file__).parents[1] / "bench" / "tracer.py"
@@ -505,3 +515,33 @@ class TestIsMinimal:
         lean = [P for P in corpus3 if len(lattice_points(P)) <= 10]
         for P in rng.sample(lean, 40):
             assert is_minimal(P) == self.brute_minimal(P)
+
+    @staticmethod
+    def grid_and_images():
+        """{0..3}^2 with points and segments, and a seeded unimodular image
+        of each member."""
+        rng = random.Random(101)
+        grid = list(enumerate_convex(3, include_degenerate=True))
+        return grid + [apply_map(random_unimodular(rng), P) for P in grid]
+
+    def test_matches_all_drops(self):
+        assert all(is_minimal(P) == _reference_is_minimal(P) for P in self.grid_and_images())
+
+    def test_skipped_drops_shrink(self, monkeypatch):
+        # a point stands in for every drop is_minimal makes, so it makes all
+        # but the certified ones; each of those must shrink the square size
+        made = []
+        monkeypatch.setattr(oracle, "drop_vertex", lambda P, v: made.append(v) or hull([v]))
+        skipped = 0
+        for P in self.grid_and_images():
+            if len(P.vertices) == 1:
+                continue
+            made.clear()
+            assert is_minimal(P)
+            h = ls_square(P)
+            for v in set(P.vertices) - set(made):
+                skipped += 1
+                assert ls_square(drop_vertex(P, v)) < h, (P, v)
+        # of 24,216 drops; a certificate demanding more than the axes of
+        # width h skips fewer
+        assert skipped == 3_338
