@@ -12,8 +12,10 @@ the vertex tuples of the polygons whose coordinate minima are both 0
 enumerate_classes and the minimal sweep.  For that sweep, _chains' sweep
 option also cuts every chain that holds a segment of lattice length at
 least the grid size, or a point on the box's sides that gives a dihedral
-image a lower first vertex, before it is grown further.  map_polygons maps a function over polygons or vertex
-tuples, in this process or over a worker pool.
+image a lower first vertex, before it is grown further, and the walk
+splits by start so that the sweep can spread its starts over workers.
+map_polygons maps a function over polygons, vertex tuples or starts, in
+this process or over a worker pool.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .geometry import ConvexPolygon, Point, _cycle
 from .oracle import canonical_form
 
 DEFAULT_GRID_LIMIT = 5
-_BATCH = 256  # items per worker task when mapping over a pool
+_BATCH = 256  # items per worker task when mapping a stream over a pool
 
 # the square's symmetries but the identity: (swap axes, then mirror x, then y)
 _SYMMETRIES = tuple(itertools.product((False, True), repeat=3))[1:]
@@ -83,6 +85,11 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
     order as their lexicographically smallest vertex; with anchored,
     only from the column x = 0, as _anchored_chains describes.
 
+    The walk is split by start (_Grid.starts): each start point v0 gives
+    one start for its lone point and segments, then one for each first
+    edge v0 -> w a chain is grown from (_Grid.chains), in walk order.
+    The tables the walk reads are built once per call (_Grid).
+
     With sweep too, n is the square size h of verify_classification's
     sweep, and the anchored chains it would reject on a prefix are not
     grown; what is left is a subsequence, in the same order.  A chain
@@ -105,45 +112,132 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
       mirror y (no chain takes a point below v0 there).  When c > n - c,
       v0 itself is such a point, and nothing grows from it.
     """
-    grid = [(x, y) for x in range(n + 1) for y in range(n + 1)]
-    # with sweep, the grid points each point spans a segment of lattice
-    # length at least n with; without, none
-    far = {p: frozenset(q for q in grid if sweep and q != p
-                        and gcd(q[0] - p[0], q[1] - p[1]) >= n) for p in grid}
-    for i, v0 in enumerate(grid[:n + 1] if anchored else grid):
-        high = v0[1] if anchored else 0
-        band = frozenset((x, y) for x, y in grid if sweep and (
+    grid = _Grid(n, anchored, sweep)
+    for start in grid.starts():
+        yield from grid.chains(start)
+
+
+class _Grid:
+    """The tables of one walk of _chains over the grid {0..n}^2.
+
+    points lists the grid in x-major order, which is lexicographic
+    order, and a point's index i there is its bit 1 << i in a point set
+    held as an int.  far[i] is the set of points that span a segment of
+    lattice length at least n with point i, in the sweep's mode, and
+    empty otherwise.  successors[b * len(points) + c] is filled on first
+    use with the points w that follow the edge from point b to point c
+    (see _grow), each as (w, its two coordinates, its bit, its far set,
+    the index of the edge c -> w), in grid order.  Nothing is kept from
+    one walk to the next.
+    """
+
+    def __init__(self, n: int, anchored: bool, sweep: bool) -> None:
+        self.n, self.anchored, self.sweep = n, anchored, sweep
+        self.points = points = [(x, y) for x in range(n + 1) for y in range(n + 1)]
+        self.far = [sum(1 << j for j, (x, y) in enumerate(points) if gcd(x - px, y - py) >= n)
+                    if sweep else 0 for px, py in points]
+        self.successors = [None] * len(points) ** 2
+
+    def _band(self, high: int) -> int:
+        """The band prune's set for the start (0, high), empty outside
+        the sweep's mode or for high = 0 (see _chains)."""
+        n = self.n
+        return sum(1 << i for i, (x, y) in enumerate(self.points) if self.sweep and (
             (x in (0, n) and not high <= y <= n - high)
             or (y in (0, n) and not high <= x <= n - high)))
-        if v0 in band:
-            continue
-        if not high:
-            yield (v0,)
-        pool = grid[i + 1:]
-        yield from ((v0, w) for w in pool if not (high and w[1]) and w not in band)
-        banned = band | far[v0]
-        for w in pool:
-            if (high and w[1] >= high) or w in banned:
+
+    def starts(self) -> Iterator[tuple]:
+        """The walk's starts in its order: (v0,) for the lone point v0
+        and its segments, then (v0, w) for each first edge a chain is
+        grown from; none from a v0 the band prune bans."""
+        n, points = self.n, self.points
+        for i, v0 in enumerate(points[:n + 1] if self.anchored else points):
+            high = v0[1] if self.anchored else 0
+            band = self._band(high)
+            if band >> i & 1:
                 continue
-            yield from _grow(v0, [v0, w], pool, min(high, w[1]), far, banned | far[w])
+            yield (v0,)
+            banned = band | self.far[i]
+            for j in range(i + 1, len(points)):
+                w = points[j]
+                if not ((high and w[1] >= high) or banned >> j & 1):
+                    yield (v0, w)
+
+    def chains(self, start: tuple) -> Iterator[tuple]:
+        """The chains of one start of starts(), in walk order.
+
+        From (v0,), the point itself unless the walk is anchored above
+        y = 0, and the segments to every later point not in the band
+        (and on y = 0 when anchored above it).  From (v0, w), every chain
+        grown from that first edge, by _grow, whose banned set holds from
+        the start: the points up to v0, the points not strictly left of
+        v0 -> w, the band and the far sets of v0 and w.
+        """
+        points, side = self.points, self.n + 1
+        v0 = start[0]
+        x0, y0 = v0
+        i = x0 * side + y0
+        high = y0 if self.anchored else 0
+        band = self._band(high)
+        if len(start) == 1:
+            if not high:
+                yield start
+            yield from ((v0, points[j]) for j in range(i + 1, len(points))
+                        if not ((high and points[j][1]) or band >> j & 1))
+            return
+        w = start[1]
+        fx, fy = w[0] - x0, w[1] - y0
+        j = w[0] * side + w[1]
+        right = sum(1 << k for k, (x, y) in enumerate(points) if fx * (y - y0) - fy * (x - x0) <= 0)
+        banned = (1 << i) - 1 | right | band | self.far[i] | self.far[j]
+        yield from _grow(self, [v0, w], i * len(points) + j, min(high, w[1]), banned)
+
+    def fill(self, edge: int) -> list:
+        """successors[edge], built: every grid point w that makes a strict
+        left turn at c after the edge b -> c and that does not head
+        forward (lexicographically) from c when b -> c heads backward."""
+        size = len(self.points)
+        b, c = divmod(edge, size)
+        (bx, by), (cx, cy) = B, C = self.points[b], self.points[c]
+        lx, ly = cx - bx, cy - by
+        backward = C < B
+        row = []
+        for k, w in enumerate(self.points):
+            wx, wy = w
+            if lx * (wy - cy) - ly * (wx - cx) > 0 and not (backward and w > C):
+                row.append((w, wx, wy, 1 << k, self.far[k], c * size + k))
+        self.successors[edge] = row
+        return row
 
 
-def _grow(v0, chain, pool, lowest, far, banned) -> Iterator[tuple]:
-    """Extend a chain of two or more grid points, v0 first, by one more
-    point in all valid ways, yielding each polygon so made.
+def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int) -> Iterator[tuple]:
+    """Extend a chain of two or more grid points, v0 first, whose last
+    edge has index edge in grid.successors, by one more point in all
+    valid ways, yielding each polygon so made.
 
     A point w after the last point c is kept when the edge angles advance
     (a strict left turn at c, and no falling back from the edges heading
-    backward, lexicographically, to those heading forward), when w lies
-    strictly left of the first edge and when v0 lies strictly left of the
-    edge c -> w.  Every strictly convex polygon passes these at each of
-    its vertices in turn, so none is lost.  The last two are the left
-    turns at v0 and at w of the chain closed back to v0, so a kept chain,
-    closed, turns left everywhere, and as its edge angles advance through
-    less than a full turn before the closing edge it winds once: it is a
-    strictly convex polygon.  No point repeats: w = c makes no turn, and
-    an earlier vertex w of that polygon has v0 on its arc from c to w, so
-    v0 lies strictly right of c -> w.
+    backward, lexicographically, to those heading forward), when w comes
+    after v0 in the grid, when w lies strictly left of the first edge
+    and when v0 lies strictly left of the edge c -> w.  Every strictly
+    convex polygon passes these at each of its vertices in turn, so none
+    is lost.  The left turns at v0 and at w of the chain closed back to
+    v0 are the last two, so a kept chain, closed, turns left everywhere,
+    and as its edge angles advance through less than a full turn before
+    the closing edge it winds once: it is a strictly convex polygon.  No
+    point repeats: w = c makes no turn, and an earlier vertex w of that
+    polygon has v0 on its arc from c to w, so v0 lies strictly right of
+    c -> w.
+
+    The first two tests depend only on the last edge b -> c and on w,
+    so each edge takes them once, over every grid point:
+    grid.successors[edge] holds exactly the points that pass them, in
+    grid order, and only those are tried.  The next two depend only on
+    the start, and the points that fail them are in banned from the
+    start on (see _Grid.chains), so only the turn at v0 is computed
+    here.  A point is kept exactly when it passes all five tests, and
+    the points are tried in grid order, so the chains kept, and their
+    order, are those of testing every grid point in turn.
 
     lowest is the chain's smallest y when only polygons reaching y = 0
     are wanted, and 0 otherwise.  While it is positive, an edge c -> w
@@ -151,61 +245,85 @@ def _grow(v0, chain, pool, lowest, far, banned) -> Iterator[tuple]:
     but is yielded only if w lies on y = 0 (see _anchored_chains).
 
     A point of banned ends the chain: it is neither yielded nor grown.
-    A kept w adds far[w], the points it spans a long segment with, to
-    the set its extensions get.  Both are empty outside the sweep's mode
-    (see _chains), whose prunes hold for every extension of a chain they
-    drop, so no chain the sweep keeps is lost.
+    A kept w adds its far set, the points it spans a long segment with,
+    to the set its extensions get.  Far sets and the band are empty
+    outside the sweep's mode (see _chains), whose prunes hold for every
+    extension of a chain they drop, so no chain the sweep keeps is lost.
     """
-    x0, y0 = v0
-    fx, fy = chain[1][0] - x0, chain[1][1] - y0
-    (bx, by), (cx, cy) = chain[-2], chain[-1]
-    lx, ly = cx - bx, cy - by
+    successors = grid.successors[edge]
+    if successors is None:
+        successors = grid.fill(edge)
+    x0, y0 = chain[0]
+    cx, cy = chain[-1]
     gx, gy = x0 - cx, y0 - cy
-    last_backward = not (lx > 0 or (lx == 0 and ly > 0))
-    for w in pool:
-        wx, wy = w
-        ex, ey = wx - cx, wy - cy
-        if (lx * ey - ly * ex <= 0
-                or (last_backward and (ex > 0 or (ex == 0 and ey > 0)))
-                or fx * (wy - y0) - fy * (wx - x0) <= 0
-                or ex * gy - ey * gx <= 0
-                or (lowest and ey >= 0)
-                or w in banned):
+    for w, wx, wy, bit, far, after in successors:
+        if banned & bit or (wx - cx) * gy - (wy - cy) * gx <= 0 or (lowest and wy >= cy):
             continue
         if not (lowest and wy):
             yield (*chain, w)
         chain.append(w)
-        yield from _grow(v0, chain, pool, min(lowest, wy), far,
-                         banned | far[w] if far[w] else banned)
+        yield from _grow(grid, chain, after, min(lowest, wy), banned | far)
         chain.pop()
 
 
-def _has_smaller_image(vs: tuple) -> bool:
+def _sides(vs: tuple) -> tuple:
+    """The side profile of the vertex tuple vs, both coordinate minima 0:
+    its spans X and Y, then, for the sides x = 0, x = X, y = 0 and y = Y
+    of the box [0, X] x [0, Y] in turn, the least and the greatest other
+    coordinate of its vertices on that side.
+
+    A side meets a strictly convex polygon in one vertex or one edge, so
+    it holds one or two vertices, and they are adjacent in vs.  vs runs
+    counterclockwise from (0, c), the lowest vertex on x = 0, so it goes
+    up x = X and right along y = 0: the first vertex on each of those
+    sides is the lower or the left one, and the next vertex is the other
+    one if it lies on that side too.  It goes left along y = Y, so its
+    first vertex there is the right one and the next is the left one,
+    unless (0, c) lies on y = Y: the other one is then the last vertex,
+    as it is on x = 0.  The same reading holds for a point and for a
+    segment, whose two vertices are adjacent both ways round.
+    """
+    xs, ys = zip(*vs)
+    X, Y = max(xs), max(ys)
+    k = len(vs)
+    i, j, m = xs.index(X), ys.index(0), ys.index(Y)
+    if m:
+        top_hi = xs[m]
+        top_lo = xs[m + 1] if m + 1 < k and ys[m + 1] == Y else top_hi
+    else:
+        top_lo, top_hi = 0, xs[-1] if ys[-1] == Y else 0
+    return (X, Y,
+            ys[0], ys[-1] if not xs[-1] else ys[0],
+            ys[i], ys[i + 1] if i + 1 < k and xs[i + 1] == X else ys[i],
+            xs[j], xs[j + 1] if j + 1 < k and not ys[j + 1] else xs[j],
+            top_lo, top_hi)
+
+
+def _has_smaller_image(vs: tuple, sides: tuple | None = None) -> bool:
     """Whether a symmetry of the square maps the polygon with vertex
     tuple vs, both coordinate minima 0, to a smaller vertex tuple once
     translated back to minima 0.  That image is a unimodular image of the
     same polygon, so vs is then not its canonical form, the least one.
+    sides is vs's side profile, _sides(vs), when the caller has it.
 
     vs starts at (0, c), c the least y on x = 0, and an image starts at
-    (0, c') with c' read off a side of the box [0, X] x [0, Y]: the side
-    the image's x = 0 comes from, x = 0 or x = X, or with the swap y = 0
-    or y = Y, holds the vertices whose other coordinate gives c' as its
-    minimum, or as the span minus its maximum when the image mirrors that
-    coordinate.  An image with c' < c is smaller and one with c' > c is
-    larger, so only one with c' = c is built and compared in full.
+    (0, c') with c' read off the profile: the side the image's x = 0
+    comes from, x = 0 or x = X, or with the swap y = 0 or y = Y, holds
+    the vertices whose other coordinate gives c' as its minimum, or as
+    the span minus its maximum when the image mirrors that coordinate.
+    An image with c' < c is smaller and one with c' > c is larger, so
+    only one with c' = c is built and compared in full.
     """
-    c = vs[0][1]
-    xs = [x for x, _ in vs]
-    ys = [y for _, y in vs]
-    X, Y = max(xs), max(ys)
-    for swap, fx, fy in _SYMMETRIES:
-        a, b, A, B = (ys, xs, Y, X) if swap else (xs, ys, X, Y)
-        end = A if fx else 0
-        side = [t for s, t in zip(a, b) if s == end]
-        first = B - max(side) if fy else min(side)
-        if first < c:
-            return True
+    X, Y, c, left_hi, right_lo, right_hi, bottom_lo, bottom_hi, top_lo, top_hi = \
+        sides or _sides(vs)
+    # c' of each image, in _SYMMETRIES order
+    firsts = (Y - left_hi, right_lo, Y - right_hi, bottom_lo, X - bottom_hi, top_lo, X - top_hi)
+    if min(firsts) < c:
+        return True
+    xs, ys = zip(*vs)
+    for first, (swap, fx, fy) in zip(firsts, _SYMMETRIES):
         if first == c:
+            a, b, A, B = (ys, xs, Y, X) if swap else (xs, ys, X, Y)
             image = zip([A - s for s in a] if fx else a, [B - t for t in b] if fy else b)
             if _cycle(list(image), swap ^ fx ^ fy) < vs:
                 return True
@@ -234,11 +352,13 @@ def enumerate_classes(n: int, include_degenerate: bool = False,
 def map_polygons(fn: Callable, polygons: Iterable, jobs: int) -> Iterator:
     """fn(item) for every item of the stream, in stream order.
 
-    The items are polygons or their vertex tuples.  One job maps in this
-    process.  More jobs, capped at the CPU count, spread the stream over
-    a process pool in chunks of _BATCH items, so fn must then be
-    picklable (a module-level function or a partial of one) and so must
-    the items and the results.
+    The items are polygons, their vertex tuples, or the chain starts of
+    the classification sweep.  One job maps in this process.  More jobs,
+    capped at the CPU count, spread the items over a process pool: a
+    list one item per task, since the sweep's starts differ widely in
+    their work and are few, and any other stream in chunks of _BATCH
+    items.  fn must then be picklable (a module-level function or a
+    partial of one) and so must the items and the results.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise InvalidInputError(f"worker count must be a positive integer, got {jobs!r}")
@@ -249,5 +369,6 @@ def map_polygons(fn: Callable, polygons: Iterable, jobs: int) -> Iterator:
 
 
 def _pooled(fn, items: Iterable, jobs: int) -> Iterator:
+    chunk = 1 if isinstance(items, list) else _BATCH
     with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(fn, items, chunksize=_BATCH)
+        yield from pool.imap(fn, items, chunksize=chunk)

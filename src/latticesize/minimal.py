@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .enumeration import _chains, _has_smaller_image, map_polygons
+from .enumeration import _Grid, _has_smaller_image, _sides, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import ConvexPolygon, Point, hull
 from .oracle import canonical_form, is_minimal
@@ -155,41 +155,52 @@ class ClassificationReport:
         return not self.only_in_families and not self.only_in_search
 
 
-def _has_loose_vertex(h: int, vs: tuple) -> bool:
-    """For a vertex tuple vs whose two axis spans are both h, whether
-    some vertex is the only vertex on no side of the box [0, h]^2."""
-    sides = [[v for v in vs if v[i] == end] for i in (0, 1) for end in (0, h)]
-    return len({side[0] for side in sides if len(side) == 1}) < len(vs)
+def _has_loose_vertex(vs: tuple, sides: tuple) -> bool:
+    """Whether some vertex of vs is the only vertex on no side of the box
+    [0, X] x [0, Y], read off vs's side profile sides (see _sides): a side
+    holds a single vertex when its least and greatest coordinates agree,
+    and a corner vertex may be the one on two sides."""
+    X, Y, left_lo, left_hi, right_lo, right_hi, bottom_lo, bottom_hi, top_lo, top_hi = sides
+    sole = {v for v, alone in (((0, left_lo), left_lo == left_hi),
+                               ((X, right_lo), right_lo == right_hi),
+                               ((bottom_lo, 0), bottom_lo == bottom_hi),
+                               ((top_lo, Y), top_lo == top_hi)) if alone}
+    return len(sole) < len(vs)
 
 
-def _has_chord(h: int, vs: tuple) -> bool:
-    """For a vertex tuple vs, both coordinate minima 0, whether its
-    polygon holds lattice points (0, y) and (h, y), or (x, 0) and (x, h):
-    the other coordinates of the vertices on two opposite sides of the
-    box [0, h]^2 then span overlapping integer ranges."""
-    for i in (0, 1):
-        near = [v[1 - i] for v in vs if v[i] == 0]
-        far = [v[1 - i] for v in vs if v[i] == h]
-        if far and max(min(near), min(far)) <= min(max(near), max(far)):
-            return True
-    return False
+def _has_chord(h: int, sides: tuple) -> bool:
+    """Whether the polygon with side profile sides (see _sides), both
+    coordinate minima 0, holds lattice points (0, y) and (h, y), or
+    (x, 0) and (x, h): its vertices on two opposite sides of the box
+    [0, h]^2 then span overlapping integer ranges."""
+    X, Y, left_lo, left_hi, right_lo, right_hi, bottom_lo, bottom_hi, top_lo, top_hi = sides
+    return ((X == h and max(left_lo, right_lo) <= min(left_hi, right_hi))
+            or (Y == h and max(bottom_lo, top_lo) <= min(bottom_hi, top_hi)))
 
 
 def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
     """Canonical form of the polygon with vertex tuple vs, both coordinate
     minima 0, if it is a minimal polygon of square size h that can be its
     own canonical form, else None; verify_classification argues the
-    rejections."""
-    xs, ys = zip(*vs)
-    span_x, span_y = max(xs), max(ys)
-    square = span_x == span_y == h
-    if ((span_x < h and span_y < h) or (square and _has_loose_vertex(h, vs))
-            or (len(vs) >= 3 and _has_chord(h, vs)) or _has_smaller_image(vs)):
+    rejections, which all read vs's side profile."""
+    sides = _sides(vs)
+    X, Y = sides[:2]
+    square = X == Y == h
+    if ((X < h and Y < h) or (square and _has_loose_vertex(vs, sides))
+            or (len(vs) >= 3 and _has_chord(h, sides)) or _has_smaller_image(vs, sides)):
         return None
     P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
     if (not square and ls_square(P) != h) or not is_minimal(P):
         return None
     return canonical_form(P)
+
+
+def _sweep_start(grid: _Grid, start: tuple) -> set[ConvexPolygon]:
+    """The classes _sweep_one finds among the chains of one start of the
+    sweep's walk grid."""
+    found = {_sweep_one(grid.n, vs) for vs in grid.chains(start)}
+    found.discard(None)
+    return found
 
 
 def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
@@ -218,8 +229,10 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       that starts lower, so none of them is a canonical form (see
       _chains).
 
-    _sweep_one then decides each tuple on its integers, reading the two
-    axis spans off it, before any polygon is built:
+    _sweep_one then decides each tuple on its integers before any polygon
+    is built.  Each side of the box [0, X] x [0, Y], X and Y the two axis
+    spans, holds one or two vertices, and the four decisions below read
+    one profile of them (see _sides):
 
     - Both spans below h: the identity map fits the polygon, a single
       point among them, in the square of its larger span, so its square
@@ -236,16 +249,20 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       at least h and the polygon is not minimal.  _has_chord reads this
       off the vertices on opposite sides of the box.
     - Dihedral filter: C is no larger than its 7 other dihedral images,
-      so _has_smaller_image keeps it (see enumerate_classes).
+      so _has_smaller_image keeps it (see enumerate_classes); it reads
+      each image's first vertex off the profile.
 
     Only a tuple with one span h and the other below h is reduced, and
     it is rejected unless its square size ls_square(P) is h.  The
     polygons left go through is_minimal, which skips every drop its
-    certificate shows to shrink, and canonical_form.  The sweep
-    cost grows quickly with h, hence the guard; raise the limit
-    explicitly for a longer run, and pass several jobs to spread the
-    tuple tests and the polygon tests over worker processes (see
-    map_polygons), while the tuples are generated in the calling process.
+    certificate shows to shrink, and canonical_form.
+
+    The walk is split by start (see _chains), and each start's chains are
+    generated, decided and tested by _sweep_start, so several jobs spread
+    whole starts over worker processes (see map_polygons), each returning
+    the classes it finds; one job runs the same loop in this process on
+    one set of tables.  The sweep cost grows quickly with h, hence the
+    guard; raise the limit explicitly for a longer run.
     """
     if not isinstance(h, int) or h < 1:
         raise InvalidInputError(f"square size must be a positive integer, got {h!r}")
@@ -253,9 +270,9 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
         raise ResourceLimitError(
             f"classification sweep for h={h} exceeds the limit {limit}; "
             "pass a larger limit to run it anyway")
-    chains = _chains(h, anchored=True, sweep=True)
-    found = set(map_polygons(functools.partial(_sweep_one, h), chains, jobs))
-    found.discard(None)
+    grid = _Grid(h, anchored=True, sweep=True)
+    starts = list(grid.starts())
+    found = set().union(*map_polygons(functools.partial(_sweep_start, grid), starts, jobs))
     family = tuple(generate_minimal(h))
     search = tuple(sorted(found, key=_class_key))
     family_set = set(family)

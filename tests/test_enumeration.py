@@ -232,6 +232,7 @@ class TestMapPolygons:
             map_polygons(area, [], jobs)
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        # and a list goes one item per task, a stream in chunks
         sizes = []
 
         class RecordingPool:
@@ -245,10 +246,12 @@ class TestMapPolygons:
                 return False
 
             def imap(self, fn, tasks, chunksize=1):
+                sizes.append(chunksize)
                 return map(fn, tasks)
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         polys = list(enumerate_convex(1))
         assert list(map_polygons(area, polys, 10**6)) == [area(P) for P in polys]
-        assert sizes == [2]
+        assert list(map_polygons(area, iter(polys), 3)) == [area(P) for P in polys]
+        assert sizes == [2, 1, 2, enumeration._BATCH]

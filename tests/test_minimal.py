@@ -1,4 +1,5 @@
 import itertools
+import os
 from math import gcd
 
 import pytest
@@ -21,7 +22,8 @@ from latticesize import (
     verify_classification,
 )
 from latticesize import enumeration
-from latticesize.enumeration import _SYMMETRIES, _anchored_chains, _chains, _has_smaller_image
+from latticesize.enumeration import (
+    _SYMMETRIES, _anchored_chains, _chains, _has_smaller_image, _sides)
 from latticesize.geometry import _cycle, lattice_points, width
 from latticesize import minimal
 from latticesize.minimal import (
@@ -210,6 +212,22 @@ class TestVerification:
         par = verify_classification(h, jobs=2)
         assert seq == par
 
+    def test_pool_generates_in_the_workers(self, monkeypatch):
+        # each worker keeps its own count, so the calls counted here are
+        # the main process's: none with a pool, some without
+        grow, calls = enumeration._grow, []
+
+        def counted(*args):
+            calls.append(None)
+            return grow(*args)
+
+        monkeypatch.setattr(enumeration, "_grow", counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        par = verify_classification(4, jobs=2)
+        assert calls == []
+        assert verify_classification(4) == par
+        assert calls
+
     def test_guards(self):
         with pytest.raises(ResourceLimitError):
             verify_classification(9)
@@ -252,6 +270,14 @@ def _holds_band_point(h, vs):
     c = vs[0][1]
     return any((x in (0, h) and not c <= y <= h - c) or (y in (0, h) and not c <= x <= h - c)
                for x, y in vs)
+
+
+def _reference_has_loose_vertex(h, vs):
+    """For a vertex tuple vs whose two axis spans are both h, whether
+    some vertex is the only vertex on no side of the box [0, h]^2, with
+    each side's vertices listed: the reference for _has_loose_vertex."""
+    sides = [[v for v in vs if v[i] == end] for i in (0, 1) for end in (0, h)]
+    return len({side[0] for side in sides if len(side) == 1}) < len(vs)
 
 
 def _holds_chord(h, vs):
@@ -324,13 +350,32 @@ class TestSweepFilters:
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_chord_rejections_are_not_minimal(self, h):
-        rejected = [vs for vs in _anchored_chains(h) if len(vs) >= 3 and _has_chord(h, vs)]
+        rejected = [vs for vs in _anchored_chains(h)
+                    if len(vs) >= 3 and _has_chord(h, _sides(vs))]
         assert rejected
         assert not any(is_minimal(hull(vs)) for vs in rejected)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_chord_is_read_off_the_sides(self, h):
-        assert all(_has_chord(h, vs) == _holds_chord(h, vs) for vs in _anchored_chains(h))
+        assert all(_has_chord(h, _sides(vs)) == _holds_chord(h, vs) for vs in _anchored_chains(h))
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_decisions_match_the_references(self, h, monkeypatch):
+        # _sweep_one's four decisions, all read off one side profile,
+        # against the four tests written out separately; a tuple that
+        # none rejects is built and reaches one of the stand-ins
+        reached = []
+        monkeypatch.setattr(minimal, "ls_square", lambda P: reached.append(P) or -1)
+        monkeypatch.setattr(minimal, "is_minimal", lambda P: reached.append(P) and False)
+        for vs in _anchored_chains(h):
+            X, Y = _spans(vs)
+            rejected = ((X < h and Y < h)
+                        or ((X, Y) == (h, h) and _reference_has_loose_vertex(h, vs))
+                        or (len(vs) >= 3 and _holds_chord(h, vs))
+                        or _reference_has_smaller_image(vs))
+            reached.clear()
+            assert _sweep_one(h, vs) is None
+            assert len(reached) == (not rejected), vs
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_dihedral_filter_matches_reference(self, h):
@@ -355,6 +400,14 @@ class TestSweepPrunes:
         want = [vs for vs in _anchored_chains(h)
                 if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _has_smaller_image(vs)]
         assert _survivors(h) == want
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_prunes_drop_exactly_the_pruned_tuples(self, h):
+        # the anchored tuples less those with a long pair (3 or more
+        # vertices) or a band point, in the same order
+        want = [vs for vs in _anchored_chains(h)
+                if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _holds_band_point(h, vs)]
+        assert list(_sweep_chains(h)) == want
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_band_points_are_rejected(self, h):
@@ -382,7 +435,7 @@ class TestSpanDecisions:
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_box_rejections_are_not_minimal(self, h):
         rejected = [vs for vs in _anchored_chains(h)
-                    if _spans(vs) == (h, h) and _has_loose_vertex(h, vs)]
+                    if _spans(vs) == (h, h) and _has_loose_vertex(vs, _sides(vs))]
         assert rejected
         assert not any(is_minimal(hull(vs)) for vs in rejected)
 
@@ -399,12 +452,21 @@ class TestSpanDecisions:
         assert all(ls_square(hull(vs)) < h for vs in small)
 
     def test_loose_vertex(self):
+        def loose(vs):
+            return _has_loose_vertex(vs, _sides(vs))
+
         # the square: every vertex shares both its sides
-        assert _has_loose_vertex(2, ((0, 0), (2, 0), (2, 2), (0, 2)))
+        assert loose(((0, 0), (2, 0), (2, 2), (0, 2)))
         # each vertex of the triangle is alone on a side
-        assert not _has_loose_vertex(2, ((0, 0), (2, 1), (1, 2)))
+        assert not loose(((0, 0), (2, 1), (1, 2)))
         # (0, 0) and (2, 2) are alone on a side, (2, 0) shares both its sides
-        assert _has_loose_vertex(2, ((0, 0), (2, 0), (2, 2)))
+        assert loose(((0, 0), (2, 0), (2, 2)))
         # two vertices alone on two sides each leave (2, 1) on none
-        assert _has_loose_vertex(3, ((0, 0), (2, 1), (3, 3)))
-        assert not _has_loose_vertex(3, ((0, 0), (3, 3)))
+        assert loose(((0, 0), (2, 1), (3, 3)))
+        assert not loose(((0, 0), (3, 3)))
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    def test_loose_vertex_matches_reference(self, h):
+        square = [vs for vs in _anchored_chains(h) if _spans(vs) == (h, h)]
+        assert all(_has_loose_vertex(vs, _sides(vs)) == _reference_has_loose_vertex(h, vs)
+                   for vs in square)
