@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
@@ -128,7 +129,9 @@ class _Grid:
     use with the points w that follow the edge from point b to point c
     (see _grow), each as (w, its two coordinates, its bit, its far set,
     the index of the edge c -> w), in grid order.  Nothing is kept from
-    one walk to the next.
+    one walk to the next in this process; a grid sent to a worker process
+    is rebuilt there through _shared_grid, so the worker keeps its tables
+    across the starts it runs.
     """
 
     def __init__(self, n: int, anchored: bool, sweep: bool) -> None:
@@ -137,6 +140,9 @@ class _Grid:
         self.far = [sum(1 << j for j, (x, y) in enumerate(points) if gcd(x - px, y - py) >= n)
                     if sweep else 0 for px, py in points]
         self.successors = [None] * len(points) ** 2
+
+    def __reduce__(self):
+        return _shared_grid, (self.n, self.anchored, self.sweep)
 
     def _band(self, high: int) -> int:
         """The band prune's set for the start (0, high), empty outside
@@ -208,6 +214,16 @@ class _Grid:
                 row.append((w, wx, wy, 1 << k, self.far[k], c * size + k))
         self.successors[edge] = row
         return row
+
+
+@lru_cache(maxsize=1)
+def _shared_grid(n: int, anchored: bool, sweep: bool) -> _Grid:
+    """The _Grid(n, anchored, sweep) of this process that unpickling
+    returns: a pooled sweep pickles its grid with every start it sends,
+    and a worker then fills one grid's successor lists across all the
+    starts it runs, rather than one fresh grid's per start.  One grid is
+    kept, as a pool serves one walk."""
+    return _Grid(n, anchored, sweep)
 
 
 def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int) -> Iterator[tuple]:

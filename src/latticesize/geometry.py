@@ -38,7 +38,7 @@ def _norm(value) -> Coord:
     when integral."""
     if value.__class__ is int:
         return value
-    f = Fraction(value)
+    f = value if value.__class__ is Fraction else Fraction(value)
     return f.numerator if f.denominator == 1 else f
 
 
@@ -225,8 +225,18 @@ class UnimodularMap:
 
 
 def apply_map(phi: UnimodularMap, P: ConvexPolygon) -> ConvexPolygon:
-    """Image polygon; unimodular maps preserve strict convex position."""
-    return hull(phi.apply_point(v) for v in P.vertices)
+    """Image polygon, built without a hull.
+
+    An affine bijection keeps three points collinear exactly when they
+    were, so the image of P's strictly convex vertex cycle is again one.
+    It keeps the counterclockwise orientation when the matrix has
+    determinant +1 and reverses it when it has -1, so _cycle puts the
+    image in canonical vertex order; a segment's two ends come out
+    sorted either way.
+    """
+    (a, b), (c, d) = phi.matrix
+    return ConvexPolygon._trusted(
+        _cycle([phi.apply_point(v) for v in P.vertices], a * d - b * c < 0))
 
 
 def lattice_points(P: ConvexPolygon) -> list[Point]:

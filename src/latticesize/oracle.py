@@ -21,6 +21,7 @@ from .geometry import (
     Point,
     Target,
     _cycle,
+    _denominator,
     _norm,
     _scaled,
     _unscaled,
@@ -105,35 +106,28 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     """Smallest target dilate over every unimodular map, by direct search.
 
     Independent of the reduced-basis shortcut except for using its
-    certificate dilate as the search cap, which only ever widens the
+    certificate dilates as the search caps, which only ever widen the
     search beyond what the optimum needs, and its basis as the frame of
     the direction scan, which any unimodular frame would do as well.  A
     rational polygon is searched as its integer multiple D*P, whose
-    dilates are D times those of P.  Cap and frame come from P's memoized
-    report, and the square search scans the directions the canonical
-    form scans (_square_directions), so a query reduces P once.
+    dilates are D times those of P.  Both searches read one memoized scan
+    of P's directions (_scan), so a query reduces and scans P once.
     """
     if P.dim != 2:
         raise DegenerateInputError("exhaustive search needs a full-dimensional polygon")
     if target not in (SQUARE, SIMPLEX):
         raise InvalidInputError(f"unknown target {target!r}")
-    D, S = _scaled(P)
-    if target == SQUARE:
-        dirs = _square_directions(P)
-    else:
-        report = _report(P)
-        dirs = candidate_directions(S, _norm(D * report.ls_simplex), report.basis)
-    dots = {u: [u[0] * v.x + u[1] * v.y for v in S.vertices] for u in dirs}
-    spread = {u: max(d) - min(d) for u, d in dots.items()}
+    D = _denominator(P)
+    rows = _square_rows(P, D) if target == SQUARE else _scan(P)
     best = None
-    for i, u in enumerate(dirs):
-        for v in dirs[i + 1:]:
+    for i, (u, du, lo_u, hi_u) in enumerate(rows):
+        for v, dv, lo_v, hi_v in rows[i + 1:]:
             if u[0] * v[1] - u[1] * v[0] not in (1, -1):
                 continue
             if target == SQUARE:
-                value = max(spread[u], spread[v])
+                value = max(hi_u - lo_u, hi_v - lo_v)
             else:
-                value = min(flip_dilates(dots[u], dots[v]))
+                value = min(flip_dilates(du, dv))
             if best is None or value < best:
                 best = value
     assert best is not None  # the reduced basis itself is always searched
@@ -141,25 +135,50 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
 
 
 @lru_cache(maxsize=_MEMO)
-def _square_directions(P: ConvexPolygon) -> tuple[IntVec, ...]:
-    """candidate_directions(D*P, D*ls_square(P), basis) for the reduced
-    basis of P, memoized for the last _MEMO polygons: the square search
-    and the canonical form scan the same directions."""
+def _scan(P: ConvexPolygon) -> tuple:
+    """The one direction scan of a query on a full-dimensional P,
+    memoized for the last _MEMO polygons: (u, row, lo, hi) for each
+    direction u of candidate_directions(D*P, D*ls_simplex(P), basis), in
+    its order, basis the reduced basis of P, row the dot products of u
+    with D*P's vertices and lo, hi their extremes, so u's width is
+    hi - lo.
+
+    The triangle search takes every entry, and the square search and the
+    canonical form take those no wider than D*ls_square(P)
+    (_square_rows), which are exactly candidate_directions(D*P,
+    D*ls_square(P), basis) in the same order: ls_square <= ls_simplex,
+    as l*T lies in [0, l]^2 for the standard triangle T, so every
+    direction within the square cap is within the triangle cap too, and
+    a filter keeps the scan's sorted order.
+    """
     report = _report(P)
     D, S = _scaled(P)
-    return tuple(candidate_directions(S, _norm(D * report.ls_square), report.basis))
+    rows = []
+    for u in candidate_directions(S, _norm(D * report.ls_simplex), report.basis):
+        row = [u[0] * v.x + u[1] * v.y for v in S.vertices]
+        rows.append((u, row, min(row), max(row)))
+    return tuple(rows)
 
 
-def _least_image(P: ConvexPolygon, dirs) -> tuple:
-    """The least vertex tuple among the images of the lattice polygon P
-    under the unimodular maps whose rows are two directions of dirs, each
-    up to sign, translated so both coordinate minima are zero, as tuples
-    of integer pairs in canonical order.
+def _square_rows(P: ConvexPolygon, D: int) -> list:
+    """The entries of _scan(P) within the square cap D*ls_square(P), D
+    the least common denominator of P's coordinates."""
+    cap = _norm(D * _report(P).ls_square)
+    return [row for row in _scan(P) if row[3] - row[2] <= cap]
+
+
+def _least_image(rows) -> tuple:
+    """The least vertex tuple among the images of a lattice polygon under
+    the unimodular maps whose matrix rows are two of the directions in
+    rows, each up to sign, translated so both coordinate minima are zero,
+    as tuples of integer pairs in canonical order.  rows holds entries of
+    _scan: a direction, its dot products with the polygon's vertices, and
+    their extremes.
 
     An affine bijection keeps three points collinear exactly when they
-    were, so the image of P's strictly convex vertex cycle is again a
-    strictly convex cycle: no hull is needed.  The cycle keeps its
-    counterclockwise orientation when the linear part, sign flips
+    were, so the image of the polygon's strictly convex vertex cycle is
+    again a strictly convex cycle: no hull is needed.  The cycle keeps
+    its counterclockwise orientation when the linear part, sign flips
     included, has determinant +1 and turns clockwise when it has -1, in
     which case it is reversed; rotating it to start at its lexicographic
     minimum then gives the tuple hull would return (_cycle).
@@ -169,22 +188,15 @@ def _least_image(P: ConvexPolygon, dirs) -> tuple:
     the image is built: an image whose c exceeds that of the best tuple
     so far is larger than it, and is skipped.
     """
-    dots = {u: [u[0] * v.x + u[1] * v.y for v in P.vertices] for u in dirs}
-    ends = {}   # each row's minimum and maximum, and the vertices on them
-    for u, d in dots.items():
-        lo, hi = min(d), max(d)
-        ends[u] = (lo, hi, [i for i, t in enumerate(d) if t == lo],
-                   [i for i, t in enumerate(d) if t == hi])
+    # each row with the vertices on its minimum and on its maximum
+    ends = [(u, d, lo, hi, [i for i, t in enumerate(d) if t == lo],
+             [i for i, t in enumerate(d) if t == hi]) for u, d, lo, hi in rows]
     best, least = None, None    # the best tuple so far and its c
-    for u in dirs:
-        du = dots[u]
-        lo_u, hi_u, on_lo, on_hi = ends[u]
-        for v in dirs:
+    for u, du, lo_u, hi_u, on_lo, on_hi in ends:
+        for v, dv, lo_v, hi_v, _, _ in ends:
             det = u[0] * v[1] - u[1] * v[0]
             if det not in (1, -1):
                 continue
-            dv = dots[v]
-            lo_v, hi_v = ends[v][:2]
             for sx, mx, edge in ((1, lo_u, on_lo), (-1, -hi_u, on_hi)):
                 # the y-row of the vertices on the image's x-minimum
                 column = [dv[i] for i in edge]
@@ -221,8 +233,8 @@ def _canonical(P: ConvexPolygon) -> ConvexPolygon:
     """canonical_form of a full-dimensional P, memoized for the last _MEMO
     polygons, so that extremal_family builds P's form once for all the
     families it compares P with."""
-    D, S = _scaled(P)
-    best = _least_image(S, _square_directions(P))
+    D = _denominator(P)
+    best = _least_image(_square_rows(P, D))
     return ConvexPolygon._trusted(
         tuple(Point(_unscaled(x, D), _unscaled(y, D)) for x, y in best))
 

@@ -36,10 +36,10 @@ from .reduction import LatticeBasis, _reduce, gauss_reduce
 # axis signs (x, y) of the four flips, in the order of flip_dilates
 _FLIPS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
-# Polygons whose report, square directions and canonical form stay
-# memoized (_report here, oracle._square_directions and oracle._canonical):
-# enough for the public calls of one query, and of the family members
-# check_bounds compares with, to share one reduction, and far fewer than
+# Polygons whose report, direction scan and canonical form stay memoized
+# (_report here, oracle._scan and oracle._canonical): enough for the
+# public calls of one query, and of the family members check_bounds
+# compares with, to share one reduction and one scan, and far fewer than
 # any sweep or corpus holds.
 _MEMO = 16
 

@@ -12,7 +12,7 @@ settings.register_profile(
 settings.load_profile("exact")
 
 # the package's per-process memos of its last few polygons
-MEMOS = (size._report, oracle._square_directions, oracle._canonical)
+MEMOS = (size._report, oracle._scan, oracle._canonical)
 
 
 @pytest.fixture(autouse=True)

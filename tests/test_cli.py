@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -288,6 +289,13 @@ class TestMinimal:
             "only_in_search": [],
             "match": True,
         }
+
+    def test_pooled_verify_at_six(self):
+        # the SHA-256 of this run's stdout, which --jobs 1 gives as well
+        r = run("minimal", "--h", "6", "--mode", "verify", "--limit", "6", "--jobs", "2")
+        assert r.returncode == 0
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "978fc1510b105bdf3c179f517409f68e811590b60a3460ede46cfcfa5333e4e5")
 
     def test_verify_too_big(self):
         r = run("minimal", "--h", "9", "--mode", "verify")

@@ -1,6 +1,7 @@
 import itertools
 import multiprocessing
 import os
+import pickle
 
 import pytest
 
@@ -15,7 +16,7 @@ from latticesize import (
     ls_square,
 )
 from latticesize import enumeration
-from latticesize.enumeration import _anchored_chains, _chains, map_polygons
+from latticesize.enumeration import _Grid, _anchored_chains, _chains, map_polygons
 
 
 class TestCounts:
@@ -225,6 +226,14 @@ class TestMapPolygons:
         want = [area(P) for P in polys]
         assert list(map_polygons(area, polys, 1)) == want
         assert list(map_polygons(area, iter(polys), 2)) == want
+
+    def test_unpickled_grid_is_shared(self):
+        # a worker rebuilds a pooled sweep's grid once for all its starts
+        grid = _Grid(5, anchored=True, sweep=True)
+        first = pickle.loads(pickle.dumps(grid))
+        assert pickle.loads(pickle.dumps(grid)) is first
+        assert (first.n, first.anchored, first.sweep) == (5, True, True)
+        assert list(first.starts()) == list(grid.starts())
 
     @pytest.mark.parametrize("jobs", [0, -1, "2", 1.5, None])
     def test_bad_worker_count_rejected(self, jobs):

@@ -332,6 +332,40 @@ class TestApplyMap:
             assert width(Q, u) == width(P, pulled)
             assert area(Q) == area(P)
 
+    @staticmethod
+    def check(phi, P):
+        # apply_map orders the mapped vertex cycle without a hull; it must
+        # give what the hull of the mapped vertices gives, types included
+        got, want = apply_map(phi, P), hull(phi.apply_point(v) for v in P.vertices)
+        assert got == want, (phi, P)
+        assert [type(c) for v in got.vertices for c in v] == \
+            [type(c) for v in want.vertices for c in v], (phi, P)
+
+    def test_both_determinants(self):
+        rng = random.Random(19)
+        dets = set()
+        for P in enumerate_convex(3, include_degenerate=True):
+            phi = random_unimodular(rng)
+            (a, b), (c, d) = phi.matrix
+            dets.add(a * d - b * c)
+            self.check(phi, P)
+        assert dets == {1, -1}
+
+    def test_rational_translations(self):
+        rng = random.Random(23)
+        for i in range(200):
+            P = random_lattice_polygon(rng) if i % 2 else random_rational_polygon(rng)
+            t = (Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+                 Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+            self.check(UnimodularMap(random_unimodular(rng).matrix, t), P)
+
+    def test_points_and_segments(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            ends = [(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-9, 9))
+                    for _ in range(rng.randint(1, 2))]
+            self.check(random_unimodular(rng), hull(ends))
+
 
 class TestLatticePoints:
     def test_triangle(self):

@@ -205,6 +205,36 @@ class TestDirectionScan:
         assert on_bound > 0   # the bound is reached, not just safe
 
 
+class TestSharedScan:
+    """The one scan of a query: its entries within the square cap are the
+    scan at the square cap, in order, and every entry carries its
+    direction's dot row and that row's extremes."""
+
+    @staticmethod
+    def check(polygons):
+        for P in polygons:
+            D, S = _scaled(P)
+            rep = invariants(P)
+            scan = oracle._scan(P)
+            assert [u for u, *_ in scan] == candidate_directions(
+                S, rep.ls_simplex * D, rep.basis), P
+            for u, row, lo, hi in scan:
+                assert row == [u[0] * v.x + u[1] * v.y for v in S.vertices], P
+                assert (lo, hi) == (min(row), max(row)), P
+            square = [u for u, *_ in oracle._square_rows(P, D)]
+            assert square == candidate_directions(S, rep.ls_square * D, rep.basis), P
+
+    def test_small_grid(self, corpus3):
+        self.check(corpus3)
+
+    def test_unimodular_images(self, corpus3):
+        rng = random.Random(109)
+        self.check([apply_map(random_unimodular(rng), P) for P in corpus3])
+
+    def test_rational(self):
+        self.check([P for P in RATIONAL_POLYGONS if P.dim == 2])
+
+
 def _query(P):
     """The five public calls of one oracle query, in the benchmark's order."""
     return (invariants(P), brute_force_lattice_size(P, SQUARE),
@@ -229,7 +259,8 @@ def _count_reductions(monkeypatch) -> list:
 
 class TestOneReduction:
     """From a cold memo, every public call reduces its polygon once, and so
-    does a whole query: its calls share one report."""
+    does a whole query: its calls share one report, and its searches and
+    canonical form one direction scan."""
 
     @pytest.mark.parametrize("query", [
         invariants,
@@ -248,6 +279,20 @@ class TestOneReduction:
         for P in (pentagon, quad):
             _query(P)
         assert polygons == [pentagon, quad]
+
+    def test_query_scans_once(self, monkeypatch):
+        # both searches and the canonical form read one direction scan
+        scanned = []
+        scan = oracle.candidate_directions
+
+        def counted(P, cap, basis):
+            scanned.append(P)
+            return scan(P, cap, basis)
+
+        monkeypatch.setattr(oracle, "candidate_directions", counted)
+        for P in (pentagon, quad, RATIONAL_POLYGONS[5]):
+            assert _query(P)[3].equality_family is None
+        assert scanned == [pentagon, quad, _scaled(RATIONAL_POLYGONS[5])[1]]
 
     def test_tight_query_reduces_each_polygon_once(self, monkeypatch):
         # check_bounds compares a tight P with its family member, whose

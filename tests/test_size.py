@@ -138,18 +138,20 @@ class TestInvariants:
     def test_certificates_are_tight(self):
         # the same map never fits the next smaller dilate
         rng = random.Random(61)
-        for _ in range(100):
-            P = random_lattice_polygon(rng)
+        polygons = [random_lattice_polygon(rng) for _ in range(100)]
+        for P in polygons + [P for P in RATIONAL_POLYGONS if P.dim == 2]:
             rep = invariants(P)
             for cert in (rep.cert_square, rep.cert_simplex):
-                smaller = ContainmentCertificate(
-                    cert.map, cert.target, cert.dilate - 1)
-                assert not smaller.verify(P)
+                assert cert.verify(P)
+                if cert.dilate >= 1:
+                    smaller = ContainmentCertificate(
+                        cert.map, cert.target, cert.dilate - 1)
+                    assert not smaller.verify(P)
 
 
 def image_invariants(P):
     """The image-polygon path that invariants replaced, kept as its
-    reference: the reduced image of D*P is hulled by apply_map, its
+    reference: the reduced image of D*P is built by apply_map, its
     extremes and simplex_dilates read off that polygon, and both widths
     measured again on D*P."""
     D, S = _scaled(P)
