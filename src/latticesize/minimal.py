@@ -21,7 +21,6 @@ from .enumeration import _Grid, _has_smaller_image, _sides, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import ConvexPolygon, Point, hull
 from .oracle import canonical_form, is_minimal
-from .size import ls_square
 
 Kind = Literal["segment", "triangle", "quad"]
 
@@ -178,19 +177,56 @@ def _has_chord(h: int, sides: tuple) -> bool:
             or (Y == h and max(bottom_lo, top_lo) <= min(bottom_hi, top_hi)))
 
 
+def _square_size_is(h: int, vs: tuple) -> bool:
+    """Whether the lattice polygon conv(vs), both axis spans at most h,
+    has square size h.
+
+    The axes fit it in the square of its larger span, so that span must
+    be h.  If both spans are h, the square size is h (see check_touch).
+    If one span is h and the other is below h, the square size is h
+    exactly when both shear widths, along (1, 1) and (1, -1), are at
+    least h.  Say the x span is h; the y case is the same with the axes
+    swapped, and the same two directions come out.
+
+    - If one shear width is below h, the unimodular basis {(1, +-1),
+      (0, 1)} fits the polygon in a smaller square.
+    - Conversely, say the square size is below h, through a unimodular
+      basis whose two widths are both below h.  One vector u = (a, b) of
+      that basis has a != 0; take a > 0.  Width is a seminorm, so the
+      directions of width below h form a convex, symmetric set K.  K
+      holds +-(0, 1), whose width is the y span, and +-u, so it holds
+      the parallelogram conv{+-(0, 1), +-u}.  At first coordinate 1 the
+      parallelogram has a section of length 2 - 2/a, at least 1 when
+      a >= 2, and when a = 1 the section holds u itself; either way K
+      holds some (1, k).  k != 0, since width(1, 0) = h.  The map
+      k -> width(1, k) is convex and equals h at 0, so
+      width(1, sign k) < h.
+    """
+    xs, ys = zip(*vs)
+    X, Y = max(xs) - min(xs), max(ys) - min(ys)
+    if X < h and Y < h:
+        return False
+    if X == Y:
+        return True
+    sums = [x + y for x, y in vs]
+    diffs = [x - y for x, y in vs]
+    return min(max(sums) - min(sums), max(diffs) - min(diffs)) >= h
+
+
 def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
     """Canonical form of the polygon with vertex tuple vs, both coordinate
     minima 0, if it is a minimal polygon of square size h that can be its
     own canonical form, else None; verify_classification argues the
-    rejections, which all read vs's side profile."""
+    rejections, which all read vs's integers."""
     sides = _sides(vs)
     X, Y = sides[:2]
-    square = X == Y == h
-    if ((X < h and Y < h) or (square and _has_loose_vertex(vs, sides))
-            or (len(vs) >= 3 and _has_chord(h, sides)) or _has_smaller_image(vs, sides)):
+    if ((X < h and Y < h) or (X == Y == h and _has_loose_vertex(vs, sides))
+            or (len(vs) >= 3 and _has_chord(h, sides)) or _has_smaller_image(vs, sides)
+            or not _square_size_is(h, vs)
+            or any(_square_size_is(h, vs[:i] + vs[i + 1:]) for i in range(len(vs)))):
         return None
     P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
-    if (not square and ls_square(P) != h) or not is_minimal(P):
+    if not is_minimal(P):
         return None
     return canonical_form(P)
 
@@ -252,10 +288,24 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       so _has_smaller_image keeps it (see enumerate_classes); it reads
       each image's first vertex off the profile.
 
-    Only a tuple with one span h and the other below h is reduced, and
-    it is rejected unless its square size ls_square(P) is h.  The
-    polygons left go through is_minimal, which skips every drop its
-    certificate shows to shrink, and canonical_form.
+    Two more decisions read the integers, not the profile, and no tuple
+    is reduced before is_minimal:
+
+    - Square size: a tuple with one span h and the other below h has
+      square size h exactly when both its shear widths, along (1, 1) and
+      (1, -1), are at least h, and it is rejected otherwise; with the
+      cases above, _square_size_is decides ls_square(P) == h exactly (its
+      docstring has the proof).
+    - Drop rejection: if the vertices other than some vertex v span a
+      polygon of square size h, by the same test, the tuple is rejected.
+      That polygon lies inside drop_vertex(P, v), so, square size being
+      monotone under inclusion, the drop keeps square size h and P is
+      not minimal.  The box rejection is this test's both-spans case,
+      read off the profile first.
+
+    The polygons left, 20 at h=4 and 116 at h=6, go through is_minimal,
+    which skips every drop its certificate shows to shrink, and
+    canonical_form.
 
     The walk is split by start (see _chains), and each start's chains are
     generated, decided and tested by _sweep_start, so several jobs spread

@@ -1,5 +1,7 @@
 import itertools
 import os
+import random
+import sys
 from math import gcd
 
 import pytest
@@ -24,11 +26,12 @@ from latticesize import (
 from latticesize import enumeration
 from latticesize.enumeration import (
     _SYMMETRIES, _anchored_chains, _chains, _has_smaller_image, _sides)
-from latticesize.geometry import _cycle, lattice_points, width
+from latticesize.geometry import _cycle, drop_vertex, lattice_points, width
 from latticesize import minimal
 from latticesize.minimal import (
     _has_chord,
     _has_loose_vertex,
+    _square_size_is,
     _sweep_one,
     quad_reflect_params,
 )
@@ -289,6 +292,19 @@ def _holds_chord(h, vs):
                for t in range(h + 1))
 
 
+def _reference_keeping_drops(h, vs):
+    """The vertices v of vs whose other vertices span a polygon of square
+    size h: the reference for the drop rejection."""
+    return [v for i, v in enumerate(vs) if ls_square(hull(vs[:i] + vs[i + 1:])) == h]
+
+
+def _stub_ls_square(monkeypatch, stub):
+    """Replace ls_square by stub in every package module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "latticesize" and getattr(module, "ls_square", None) is ls_square:
+            monkeypatch.setattr(module, "ls_square", stub)
+
+
 def _sweep_chains(h):
     return _chains(h, anchored=True, sweep=True)
 
@@ -329,17 +345,19 @@ class TestSweepFilters:
         # so only the count of tuples it leaves shows it
         assert len(_survivors(h)) == count
 
-    @pytest.mark.parametrize("h,reduced,unreduced", [
-        (1, 1, 1), (2, 4, 2), (3, 38, 6), (4, 440, 14), (5, 4_775, 35)])
-    def test_built_counts(self, h, reduced, unreduced, monkeypatch):
-        # the same for the span, box and chord tests, in the polygons built:
-        # one with one span h is reduced, one with both spans h goes straight
-        # to is_minimal; the stand-ins reject both, so none reaches a drop
-        built, direct = [], []
-        monkeypatch.setattr(minimal, "ls_square", lambda P: built.append(P) or -1)
-        monkeypatch.setattr(minimal, "is_minimal", lambda P: direct.append(P) and False)
+    @pytest.mark.parametrize("h,count", [(1, 2), (2, 3), (3, 8), (4, 20), (5, 52)])
+    def test_built_counts(self, h, count, monkeypatch):
+        # the same for the span, box, chord, square-size and drop tests, in
+        # the polygons built: each goes straight to is_minimal, whose
+        # stand-in rejects it, and the sweep itself reduces none of them;
+        # they are the tuples that _decided_tuples, which the audit uses,
+        # leaves
+        built, reduced = [], []
+        _stub_ls_square(monkeypatch, lambda P: reduced.append(P) or -1)
+        monkeypatch.setattr(minimal, "is_minimal", lambda P: built.append(P.vertices) and False)
         assert not any(_sweep_one(h, vs) for vs in _sweep_chains(h))
-        assert (len(built), len(direct)) == (reduced, unreduced)
+        assert (len(built), len(reduced)) == (count, 0)
+        assert built == _decided_tuples(h)[2]
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_pair_rejections_are_not_minimal(self, h):
@@ -361,18 +379,25 @@ class TestSweepFilters:
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_decisions_match_the_references(self, h, monkeypatch):
-        # _sweep_one's four decisions, all read off one side profile,
-        # against the four tests written out separately; a tuple that
-        # none rejects is built and reaches one of the stand-ins
+        # _sweep_one's six decisions on integers against the six tests
+        # written out separately, the square size and the drops through
+        # ls_square; a tuple that none rejects is built and reaches the
+        # stand-in
         reached = []
-        monkeypatch.setattr(minimal, "ls_square", lambda P: reached.append(P) or -1)
         monkeypatch.setattr(minimal, "is_minimal", lambda P: reached.append(P) and False)
         for vs in _anchored_chains(h):
             X, Y = _spans(vs)
             rejected = ((X < h and Y < h)
                         or ((X, Y) == (h, h) and _reference_has_loose_vertex(h, vs))
                         or (len(vs) >= 3 and _holds_chord(h, vs))
-                        or _reference_has_smaller_image(vs))
+                        or _reference_has_smaller_image(vs)
+                        or ls_square(hull(vs)) != h)
+            if not rejected:
+                kept = _reference_keeping_drops(h, vs)
+                # conv of the other vertices lies in the drop, which so
+                # keeps square size h as well
+                assert all(ls_square(drop_vertex(hull(vs), v)) == h for v in kept)
+                rejected = bool(kept)
             reached.clear()
             assert _sweep_one(h, vs) is None
             assert len(reached) == (not rejected), vs
@@ -470,3 +495,76 @@ class TestSpanDecisions:
         square = [vs for vs in _anchored_chains(h) if _spans(vs) == (h, h)]
         assert all(_has_loose_vertex(vs, _sides(vs)) == _reference_has_loose_vertex(h, vs)
                    for vs in square)
+
+
+def _decided_tuples(h):
+    """The tuples that reach _sweep_one's square-size and drop decisions,
+    split into those the square size rejects, those a drop rejects and
+    the ones left, which are built."""
+    size, drop, left = [], [], []
+    for vs in _survivors(h):
+        sides = _sides(vs)
+        X, Y = sides[:2]
+        if ((X < h and Y < h) or (X == Y == h and _has_loose_vertex(vs, sides))
+                or (len(vs) >= 3 and _has_chord(h, sides))):
+            continue
+        if not _square_size_is(h, vs):
+            size.append(vs)
+        elif any(_square_size_is(h, vs[:i] + vs[i + 1:]) for i in range(len(vs))):
+            drop.append(vs)
+        else:
+            left.append(vs)
+    return size, drop, left
+
+
+def _audit_rejections(h):
+    """The two integer rejections of the sweep at square size h checked by
+    the slow path: (size rejections, drop rejections, disagreements),
+    where a size rejection disagrees unless ls_square(hull(vs)) < h and a
+    drop rejection unless is_minimal(hull(vs)) is False.  Outside the
+    tests, run it as
+    PYTHONPATH=src:tests python -c "import test_minimal as t; print(t._audit_rejections(6))"
+    """
+    size, drop, _ = _decided_tuples(h)
+    wrong = sum(ls_square(hull(vs)) >= h for vs in size) + sum(is_minimal(hull(vs)) for vs in drop)
+    return len(size), len(drop), wrong
+
+
+class TestIntegerDecisions:
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_square_size_is_exact_on_the_grid(self, h):
+        # every anchored tuple with one span h and every vertex-deleted
+        # subtuple of one, each vertex set tested once up to translation
+        sets = set()
+        for vs in _anchored_chains(h):
+            if max(_spans(vs)) == h > min(_spans(vs)):
+                sets.add(frozenset(vs))
+                for i in range(len(vs)):
+                    rest = vs[:i] + vs[i + 1:]
+                    x0, y0 = min(x for x, _ in rest), min(y for _, y in rest)
+                    sets.add(frozenset((x - x0, y - y0) for x, y in rest))
+        assert sets
+        for pts in sets:
+            P = hull(list(pts))
+            assert _square_size_is(h, P.vertices) == (ls_square(P) == h), P
+
+    def test_square_size_is_exact_on_random_sets(self):
+        # seeded point sets in [0, h]^2, most with a span h; two points
+        # alone make a segment
+        rng = random.Random(19)
+        for h in range(1, 13):
+            for _ in range(200):
+                pts = [(rng.randint(0, h), rng.randint(0, h)) for _ in range(rng.randint(0, 4))]
+                if rng.random() < 0.8 or not pts:
+                    pts += [(0, rng.randint(0, h)), (h, rng.randint(0, h))]
+                if rng.random() < 0.5:
+                    pts = [(y, x) for x, y in pts]
+                P = hull(pts)
+                assert _square_size_is(h, P.vertices) == (ls_square(P) == h), P
+
+    @pytest.mark.parametrize("h,size,drop", [
+        (1, 0, 0), (2, 3, 0), (3, 27, 9), (4, 250, 184), (5, 2_223, 2_535)])
+    def test_rejections_are_sound(self, h, size, drop):
+        # every size rejection is below h and every drop rejection is not
+        # minimal, by ls_square and is_minimal
+        assert _audit_rejections(h) == (size, drop, 0)
