@@ -14,8 +14,8 @@ option also cuts every chain that holds a segment of lattice length at
 least the grid size, or a point on the box's sides that gives a dihedral
 image a lower first vertex, before it is grown further, and the walk
 splits by start so that the sweep can spread its starts over workers.
-map_polygons maps a function over polygons, vertex tuples or starts, in
-this process or over a worker pool.
+map_polygons maps a function over polygons or starts, in this process
+or over a worker pool.
 """
 from __future__ import annotations
 
@@ -368,8 +368,8 @@ def enumerate_classes(n: int, include_degenerate: bool = False,
 def map_polygons(fn: Callable, polygons: Iterable, jobs: int) -> Iterator:
     """fn(item) for every item of the stream, in stream order.
 
-    The items are polygons, their vertex tuples, or the chain starts of
-    the classification sweep.  One job maps in this process.  More jobs,
+    The items are polygons or the chain starts of the classification
+    sweep.  One job maps in this process.  More jobs,
     capped at the CPU count, spread the items over a process pool: a
     list one item per task, since the sweep's starts differ widely in
     their work and are few, and any other stream in chunks of _BATCH

@@ -298,26 +298,13 @@ def _point(x: int, y: int) -> Point:
 
 
 def drop_vertex(P: ConvexPolygon, v: Point) -> ConvexPolygon:
-    """Hull of P's lattice points with the vertex v removed.
-
-    P is the union of the triangle T on v and its two neighbours and the
-    hull of its other vertices, so every lattice point of P other than v
-    lies in T or in that hull: the other vertices together with T's
-    lattice points span the same hull, and only T is scanned.
-    """
+    """Hull of P's lattice points with the vertex v removed."""
     if not P.is_lattice:
         raise InvalidInputError("drop_vertex needs a lattice polygon")
     v = _as_point(v)
-    vs = P.vertices
-    if v not in vs:
+    if v not in P.vertices:
         raise InvalidInputError(f"({v.x}, {v.y}) is not a vertex")
-    if len(vs) <= 3:
-        near = lattice_points(P)   # T is P itself, or P is a segment
-    else:
-        i = vs.index(v)
-        tri = _cycle([vs[i - 1], v, vs[(i + 1) % len(vs)]], False)
-        near = lattice_points(ConvexPolygon._trusted(tri)) + list(vs)
-    rest = [p for p in near if p != v]
+    rest = [p for p in lattice_points(P) if p != v]
     if not rest:
         raise InvalidInputError("dropping the only lattice point leaves nothing")
     return hull(rest)

@@ -218,11 +218,12 @@ def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
     minima 0, if it is a minimal polygon of square size h that can be its
     own canonical form, else None; verify_classification argues the
     rejections, which all read vs's integers."""
+    if not _square_size_is(h, vs):
+        return None
     sides = _sides(vs)
-    X, Y = sides[:2]
-    if ((X < h and Y < h) or (X == Y == h and _has_loose_vertex(vs, sides))
+    # the larger span is h now, so equal spans are both h
+    if ((sides[0] == sides[1] and _has_loose_vertex(vs, sides))
             or (len(vs) >= 3 and _has_chord(h, sides)) or _has_smaller_image(vs, sides)
-            or not _square_size_is(h, vs)
             or any(_square_size_is(h, vs[:i] + vs[i + 1:]) for i in range(len(vs)))):
         return None
     P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
@@ -266,15 +267,19 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       _chains).
 
     _sweep_one then decides each tuple on its integers before any polygon
-    is built.  Each side of the box [0, X] x [0, Y], X and Y the two axis
-    spans, holds one or two vertices, and the four decisions below read
-    one profile of them (see _sides):
+    is built, and no tuple is reduced before is_minimal:
 
-    - Both spans below h: the identity map fits the polygon, a single
-      point among them, in the square of its larger span, so its square
-      size is below h.
-    - Both spans h: the square size is h, as check_touch proves, so no
-      reduction is needed.  Box rejection: if some vertex is not the only
+    - Square size: _square_size_is decides ls_square(P) == h (its
+      docstring has the proof).  Both spans below h fit the square of the
+      larger span; both spans h give square size h, as check_touch
+      proves; one span h needs both shear widths, along (1, 1) and
+      (1, -1), at least h.
+
+    Each side of the box [0, X] x [0, Y], X and Y the two axis spans,
+    holds one or two vertices.  The next three decisions read one profile
+    of them (see _sides), built only for the tuples of square size h:
+
+    - Box rejection: if both spans are h and some vertex is not the only
       vertex on any side of the box [0, h]^2, dropping it keeps a vertex
       on every side, so the drop keeps both spans h and square size h,
       and the polygon is not minimal.
@@ -288,14 +293,8 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       so _has_smaller_image keeps it (see enumerate_classes); it reads
       each image's first vertex off the profile.
 
-    Two more decisions read the integers, not the profile, and no tuple
-    is reduced before is_minimal:
+    The last decision reads the integers again:
 
-    - Square size: a tuple with one span h and the other below h has
-      square size h exactly when both its shear widths, along (1, 1) and
-      (1, -1), are at least h, and it is rejected otherwise; with the
-      cases above, _square_size_is decides ls_square(P) == h exactly (its
-      docstring has the proof).
     - Drop rejection: if the vertices other than some vertex v span a
       polygon of square size h, by the same test, the tuple is rejected.
       That polygon lies inside drop_vertex(P, v), so, square size being

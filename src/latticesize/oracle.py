@@ -21,7 +21,6 @@ from .geometry import (
     Point,
     Target,
     _cycle,
-    _denominator,
     _norm,
     _scaled,
     _unscaled,
@@ -29,7 +28,7 @@ from .geometry import (
     drop_vertex,
     hull,
 )
-from .reduction import LatticeBasis, _reduce
+from .reduction import LatticeBasis
 from .size import _MEMO, _report, flip_dilates, ls_square
 
 
@@ -117,8 +116,9 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
         raise DegenerateInputError("exhaustive search needs a full-dimensional polygon")
     if target not in (SQUARE, SIMPLEX):
         raise InvalidInputError(f"unknown target {target!r}")
-    D = _denominator(P)
-    rows = _square_rows(P, D) if target == SQUARE else _scan(P)
+    D, rows, square_rows = _scan(P)
+    if target == SQUARE:
+        rows = square_rows
     best = None
     for i, (u, du, lo_u, hi_u) in enumerate(rows):
         for v, dv, lo_v, hi_v in rows[i + 1:]:
@@ -137,15 +137,16 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
 @lru_cache(maxsize=_MEMO)
 def _scan(P: ConvexPolygon) -> tuple:
     """The one direction scan of a query on a full-dimensional P,
-    memoized for the last _MEMO polygons: (u, row, lo, hi) for each
-    direction u of candidate_directions(D*P, D*ls_simplex(P), basis), in
-    its order, basis the reduced basis of P, row the dot products of u
-    with D*P's vertices and lo, hi their extremes, so u's width is
-    hi - lo.
+    memoized for the last _MEMO polygons: (D, rows, square_rows), D the
+    least common denominator of P's coordinates.  rows holds (u, row, lo,
+    hi) for each direction u of candidate_directions(D*P, D*ls_simplex(P),
+    basis), in its order, basis the reduced basis of P, row the dot
+    products of u with D*P's vertices and lo, hi their extremes, so u's
+    width is hi - lo.
 
     The triangle search takes every entry, and the square search and the
-    canonical form take those no wider than D*ls_square(P)
-    (_square_rows), which are exactly candidate_directions(D*P,
+    canonical form take square_rows, the entries no wider than
+    D*ls_square(P), which are exactly candidate_directions(D*P,
     D*ls_square(P), basis) in the same order: ls_square <= ls_simplex,
     as l*T lies in [0, l]^2 for the standard triangle T, so every
     direction within the square cap is within the triangle cap too, and
@@ -157,14 +158,8 @@ def _scan(P: ConvexPolygon) -> tuple:
     for u in candidate_directions(S, _norm(D * report.ls_simplex), report.basis):
         row = [u[0] * v.x + u[1] * v.y for v in S.vertices]
         rows.append((u, row, min(row), max(row)))
-    return tuple(rows)
-
-
-def _square_rows(P: ConvexPolygon, D: int) -> list:
-    """The entries of _scan(P) within the square cap D*ls_square(P), D
-    the least common denominator of P's coordinates."""
-    cap = _norm(D * _report(P).ls_square)
-    return [row for row in _scan(P) if row[3] - row[2] <= cap]
+    cap = _norm(D * report.ls_square)
+    return D, tuple(rows), tuple(row for row in rows if row[3] - row[2] <= cap)
 
 
 def _least_image(rows) -> tuple:
@@ -233,8 +228,8 @@ def _canonical(P: ConvexPolygon) -> ConvexPolygon:
     """canonical_form of a full-dimensional P, memoized for the last _MEMO
     polygons, so that extremal_family builds P's form once for all the
     families it compares P with."""
-    D = _denominator(P)
-    best = _least_image(_square_rows(P, D))
+    D, _, square_rows = _scan(P)
+    best = _least_image(square_rows)
     return ConvexPolygon._trusted(
         tuple(Point(_unscaled(x, D), _unscaled(y, D)) for x, y in best))
 
@@ -255,7 +250,9 @@ def is_minimal(P: ConvexPolygon) -> bool:
     that vertex's drop, and square size is monotone under inclusion, so
     single drops decide minimality.
 
-    P is reduced once, and h = ls_square(P) is the width of the basis's
+    P's reduced basis and widths are read off its memoized report
+    (_report), which canonical_form then reuses, so a polygon the sweep
+    keeps is reduced once; h = ls_square(P) is the width of the basis's
     wider axis.  The drop of a vertex v that is the only vertex at one
     end of each axis of width h needs no test: P meets that end in v
     alone, so every other lattice point of P lies at least 1 inside it,
@@ -266,9 +263,10 @@ def is_minimal(P: ConvexPolygon) -> bool:
         raise InvalidInputError("minimality is about lattice polygons")
     if len(P.vertices) == 1:
         return True
-    basis, w1, h = _reduce(P)
+    report = _report(P)
+    basis, h = report.basis, report.ls_square
     certified = set(P.vertices)
-    for u, w in ((basis.u1, w1), (basis.u2, h)):
+    for u, w in ((basis.u1, report.width), (basis.u2, h)):
         if w == h:
             row = [u[0] * v.x + u[1] * v.y for v in P.vertices]
             certified &= {P.vertices[row.index(t)] for t in (min(row), max(row))

@@ -28,6 +28,7 @@ from .geometry import (
     _scaled,
     _unscaled,
     apply_map,
+    area,
     contained_in_dilate,
     width,
 )
@@ -134,14 +135,11 @@ def _report(P: ConvexPolygon) -> InvariantsReport:
                       (_unscaled(shift[0], D), _unscaled(shift[1], D))),
         SIMPLEX, simplex_side)
 
-    # twice the area of S by the shoelace sum over its frame image, which
-    # a unimodular map keeps up to sign; P's area is that over 2*D^2
-    twice = abs(sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs))))
     return InvariantsReport(
         width=_unscaled(max_x - min_x, D),
         ls_square=square_side,
         ls_simplex=simplex_side,
-        area=Fraction(twice, 2 * D * D),
+        area=area(S) / (D * D),
         basis=basis,
         cert_square=cert_square,
         cert_simplex=cert_simplex,

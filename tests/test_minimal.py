@@ -359,6 +359,18 @@ class TestSweepFilters:
         assert (len(built), len(reduced)) == (count, 0)
         assert built == _decided_tuples(h)[2]
 
+    def test_profiles_only_square_size_h(self, monkeypatch):
+        # the square-size test comes first, so the side profile is built
+        # for exactly the tuples it keeps: 1,728 of the 3,871 at h=4
+        h = 4
+        profiled = []
+        sides = minimal._sides
+        monkeypatch.setattr(minimal, "_sides", lambda vs: profiled.append(vs) or sides(vs))
+        for vs in _sweep_chains(h):
+            _sweep_one(h, vs)
+        assert profiled == [vs for vs in _sweep_chains(h) if _square_size_is(h, vs)]
+        assert len(profiled) == 1_728
+
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_pair_rejections_are_not_minimal(self, h):
         rejected = [vs for vs in _anchored_chains(h)
@@ -498,9 +510,9 @@ class TestSpanDecisions:
 
 
 def _decided_tuples(h):
-    """The tuples that reach _sweep_one's square-size and drop decisions,
-    split into those the square size rejects, those a drop rejects and
-    the ones left, which are built."""
+    """The survivors that the span, box and chord tests keep, split into
+    those the square size rejects, those a drop rejects and the ones
+    left, which are built."""
     size, drop, left = [], [], []
     for vs in _survivors(h):
         sides = _sides(vs)

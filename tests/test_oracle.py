@@ -7,6 +7,7 @@ import io
 import itertools
 import pathlib
 import random
+import sys
 import types
 from math import gcd
 
@@ -38,6 +39,7 @@ from latticesize import (
     lattice_points,
     ls_square,
     thin_triangle,
+    verify_classification,
     width,
 )
 from latticesize import oracle
@@ -206,22 +208,23 @@ class TestDirectionScan:
 
 
 class TestSharedScan:
-    """The one scan of a query: its entries within the square cap are the
-    scan at the square cap, in order, and every entry carries its
-    direction's dot row and that row's extremes."""
+    """The one scan record of a query: its common denominator is _scaled's,
+    its square rows are the scan at the square cap, in order, and every
+    entry carries its direction's dot row and that row's extremes."""
 
     @staticmethod
     def check(polygons):
         for P in polygons:
             D, S = _scaled(P)
             rep = invariants(P)
-            scan = oracle._scan(P)
+            scan_D, scan, square_rows = oracle._scan(P)
+            assert scan_D == D, P
             assert [u for u, *_ in scan] == candidate_directions(
                 S, rep.ls_simplex * D, rep.basis), P
             for u, row, lo, hi in scan:
                 assert row == [u[0] * v.x + u[1] * v.y for v in S.vertices], P
                 assert (lo, hi) == (min(row), max(row)), P
-            square = [u for u, *_ in oracle._square_rows(P, D)]
+            square = [u for u, *_ in square_rows]
             assert square == candidate_directions(S, rep.ls_square * D, rep.basis), P
 
     def test_small_grid(self, corpus3):
@@ -244,7 +247,8 @@ def _query(P):
 def _count_reductions(monkeypatch) -> list:
     """Record the polygon of every basis reduction from here on: gauss_reduce
     and the memo-free reduction of ls_square and lattice_width both go
-    through reduction._reduce."""
+    through reduction._reduce, replaced in every package module that binds
+    it."""
     polygons = []
     reduce = latticesize.reduction._reduce
 
@@ -252,8 +256,9 @@ def _count_reductions(monkeypatch) -> list:
         polygons.append(P)
         return reduce(P)
 
-    for module in (latticesize.reduction, latticesize.size):
-        monkeypatch.setattr(module, "_reduce", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "latticesize" and getattr(module, "_reduce", None) is reduce:
+            monkeypatch.setattr(module, "_reduce", counted)
     return polygons
 
 
@@ -301,6 +306,20 @@ class TestOneReduction:
         polygons = _count_reductions(monkeypatch)
         assert _query(P)[3].equality_family is EqualityFamily.THIN_TRIANGLE
         assert polygons == [P, thin_triangle(4)]
+
+    def test_sweep_class_reduces_once(self, monkeypatch):
+        # the sweep's minimality test and canonical form share one report
+        # of each class it builds; the drops is_minimal tests are other
+        # polygons
+        classes = verify_classification(4).search_classes
+        assert classes
+        polygons = _count_reductions(monkeypatch)
+        for C in classes:
+            for memo in MEMOS:
+                memo.cache_clear()
+            assert is_minimal(C)
+            assert canonical_form(C) == C
+            assert polygons.count(C) == 1, C
 
 
 def _typed(value):
