@@ -11,9 +11,10 @@ the vertex tuples of the polygons whose coordinate minima are both 0
 (_has_smaller_image) keeps those that can be canonical forms, for
 enumerate_classes and the minimal sweep.  For that sweep, _chains' sweep
 option also cuts every chain that holds a segment of lattice length at
-least the grid size, or a point on the box's sides that gives a dihedral
-image a lower first vertex, before it is grown further, and the walk
-splits by start so that the sweep can spread its starts over workers.
+least the grid size, a point on the box's sides that gives a dihedral
+image a lower first vertex, or an unpinned vertex, before it is grown
+further, and the walk splits by start so that the sweep can spread its
+starts over workers.
 map_polygons maps a function over polygons or starts, in this process
 or over a worker pool.
 """
@@ -112,6 +113,13 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
       and X - t for the swap then both mirrors; on x = 0, Y - t for
       mirror y (no chain takes a point below v0 there).  When c > n - c,
       v0 itself is such a point, and nothing grows from it.
+    - pinned rule: every chain with an unpinned vertex, one that is the
+      only greatest point of none of the 8 forms of _Grid.forms over the
+      chain.  It stays unpinned in every polygon grown from the chain,
+      none of which is minimal of square size h (see
+      verify_classification).  A chain carries each form's greatest value
+      and its sole attainer (_grow's `pins`); points and segments are
+      always pinned.
     """
     grid = _Grid(n, anchored, sweep)
     for start in grid.starts():
@@ -125,13 +133,15 @@ class _Grid:
     order, and a point's index i there is its bit 1 << i in a point set
     held as an int.  far[i] is the set of points that span a segment of
     lattice length at least n with point i, in the sweep's mode, and
-    empty otherwise.  successors[b * len(points) + c] is filled on first
-    use with the points w that follow the edge from point b to point c
-    (see _grow), each as (w, its two coordinates, its bit, its far set,
-    the index of the edge c -> w), in grid order.  Nothing is kept from
-    one walk to the next in this process; a grid sent to a worker process
-    is rebuilt there through _shared_grid, so the worker keeps its tables
-    across the starts it runs.
+    empty otherwise.  forms[i] holds the values at point i of the pinned
+    rule's 8 forms x, -x, y, -y, x + y, -x - y, x - y and y - x (see
+    _chains).  successors[b * len(points) + c] is filled on first use
+    with the points w that follow the edge from point b to point c (see
+    _grow), each as (w, its two coordinates, its bit, its far set, the
+    index of the edge c -> w, its forms), in grid order.  Nothing is kept
+    from one walk to the next in this process; a grid sent to a worker
+    process is rebuilt there through _shared_grid, so the worker keeps
+    its tables across the starts it runs.
     """
 
     def __init__(self, n: int, anchored: bool, sweep: bool) -> None:
@@ -139,6 +149,7 @@ class _Grid:
         self.points = points = [(x, y) for x in range(n + 1) for y in range(n + 1)]
         self.far = [sum(1 << j for j, (x, y) in enumerate(points) if gcd(x - px, y - py) >= n)
                     if sweep else 0 for px, py in points]
+        self.forms = [(x, -x, y, -y, x + y, -x - y, x - y, y - x) for x, y in points]
         self.successors = [None] * len(points) ** 2
 
     def __reduce__(self):
@@ -196,7 +207,8 @@ class _Grid:
         j = w[0] * side + w[1]
         right = sum(1 << k for k, (x, y) in enumerate(points) if fx * (y - y0) - fy * (x - x0) <= 0)
         banned = (1 << i) - 1 | right | band | self.far[i] | self.far[j]
-        yield from _grow(self, [v0, w], i * len(points) + j, min(high, w[1]), banned)
+        pins = _pin((self.forms[i], (1 << i,) * 8), self.forms[j], 1 << j, 2) if self.sweep else ()
+        yield from _grow(self, [v0, w], i * len(points) + j, min(high, w[1]), banned, pins)
 
     def fill(self, edge: int) -> list:
         """successors[edge], built: every grid point w that makes a strict
@@ -211,7 +223,7 @@ class _Grid:
         for k, w in enumerate(self.points):
             wx, wy = w
             if lx * (wy - cy) - ly * (wx - cx) > 0 and not (backward and w > C):
-                row.append((w, wx, wy, 1 << k, self.far[k], c * size + k))
+                row.append((w, wx, wy, 1 << k, self.far[k], c * size + k, self.forms[k]))
         self.successors[edge] = row
         return row
 
@@ -226,7 +238,8 @@ def _shared_grid(n: int, anchored: bool, sweep: bool) -> _Grid:
     return _Grid(n, anchored, sweep)
 
 
-def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int) -> Iterator[tuple]:
+def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int,
+          pins: tuple) -> Iterator[tuple]:
     """Extend a chain of two or more grid points, v0 first, whose last
     edge has index edge in grid.successors, by one more point in all
     valid ways, yielding each polygon so made.
@@ -260,11 +273,13 @@ def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int) -> Iter
     that does not head down ends the chain, and a kept chain grows on
     but is yielded only if w lies on y = 0 (see _anchored_chains).
 
-    A point of banned ends the chain: it is neither yielded nor grown.
-    A kept w adds its far set, the points it spans a long segment with,
-    to the set its extensions get.  Far sets and the band are empty
-    outside the sweep's mode (see _chains), whose prunes hold for every
-    extension of a chain they drop, so no chain the sweep keeps is lost.
+    A point of banned ends the chain: it is neither yielded nor grown,
+    and neither is a w after which a point of the chain is unpinned (see
+    _pin).  A kept w adds its far set, the points it spans a long segment
+    with, to the set its extensions get.  Far sets, the band and pins
+    are empty outside the sweep's mode (see _chains), whose prunes hold
+    for every extension of a chain they drop, so no chain the sweep
+    keeps is lost.
     """
     successors = grid.successors[edge]
     if successors is None:
@@ -272,14 +287,31 @@ def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int) -> Iter
     x0, y0 = chain[0]
     cx, cy = chain[-1]
     gx, gy = x0 - cx, y0 - cy
-    for w, wx, wy, bit, far, after in successors:
+    for w, wx, wy, bit, far, after, forms in successors:
         if banned & bit or (wx - cx) * gy - (wy - cy) * gx <= 0 or (lowest and wy >= cy):
+            continue
+        grown = pins and _pin(pins, forms, bit, len(chain) + 1)
+        if grown is None:
             continue
         if not (lowest and wy):
             yield (*chain, w)
         chain.append(w)
-        yield from _grow(grid, chain, after, min(lowest, wy), banned | far)
+        yield from _grow(grid, chain, after, min(lowest, wy), banned | far, grown)
         chain.pop()
+
+
+def _pin(pins: tuple, forms: tuple, bit: int, size: int) -> tuple | None:
+    """The pins of a chain of size points, or None if one of its points
+    is unpinned (see _chains).  A chain's pins are, for each of the 8
+    forms, its greatest value over the chain and the bit of the one point
+    that attains it, or 0 if two do, as two sequences; pins are those of
+    the first size - 1 points, and the last point has bit bit and form
+    values forms."""
+    tops, soles = pins
+    soles = [bit if f > top else sole if f < top else 0 for f, top, sole in zip(forms, tops, soles)]
+    if len({0, *soles}) <= size:
+        return None
+    return tuple(map(max, forms, tops)), soles
 
 
 def _sides(vs: tuple) -> tuple:

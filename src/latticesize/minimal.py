@@ -154,19 +154,6 @@ class ClassificationReport:
         return not self.only_in_families and not self.only_in_search
 
 
-def _has_loose_vertex(vs: tuple, sides: tuple) -> bool:
-    """Whether some vertex of vs is the only vertex on no side of the box
-    [0, X] x [0, Y], read off vs's side profile sides (see _sides): a side
-    holds a single vertex when its least and greatest coordinates agree,
-    and a corner vertex may be the one on two sides."""
-    X, Y, left_lo, left_hi, right_lo, right_hi, bottom_lo, bottom_hi, top_lo, top_hi = sides
-    sole = {v for v, alone in (((0, left_lo), left_lo == left_hi),
-                               ((X, right_lo), right_lo == right_hi),
-                               ((bottom_lo, 0), bottom_lo == bottom_hi),
-                               ((top_lo, Y), top_lo == top_hi)) if alone}
-    return len(sole) < len(vs)
-
-
 def _has_chord(h: int, sides: tuple) -> bool:
     """Whether the polygon with side profile sides (see _sides), both
     coordinate minima 0, holds lattice points (0, y) and (h, y), or
@@ -221,9 +208,7 @@ def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
     if not _square_size_is(h, vs):
         return None
     sides = _sides(vs)
-    # the larger span is h now, so equal spans are both h
-    if ((sides[0] == sides[1] and _has_loose_vertex(vs, sides))
-            or (len(vs) >= 3 and _has_chord(h, sides)) or _has_smaller_image(vs, sides)
+    if ((len(vs) >= 3 and _has_chord(h, sides)) or _has_smaller_image(vs, sides)
             or any(_square_size_is(h, vs[:i] + vs[i + 1:]) for i in range(len(vs)))):
         return None
     P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
@@ -249,12 +234,11 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     {0..h}^2 (degenerate members included) meets each class at least
     once.  The sweep rejects only polygons that cannot be such a C of a
     minimal polygon of square size h, and every polygon it keeps gets the
-    full test, so its class set is the full grid's.  Two rejections cut
-    whole chains in the generator, _chains(h, anchored=True, sweep=True),
-    before a tuple is finished:
+    full test, so its class set is the full grid's.  C has both
+    coordinate minima 0, so it is a tuple of _anchored_chains(h).  Three
+    prunes cut whole chains in the generator, _chains(h, anchored=True,
+    sweep=True), before a tuple is finished:
 
-    - C has both coordinate minima 0, so it is a tuple of
-      _anchored_chains(h).
     - Pair prune: a polygon with at least 3 vertices, two of which differ
       by a vector whose gcd is at least h, is not minimal.  Dropping a
       third vertex keeps the segment between those two, of lattice length
@@ -265,46 +249,42 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       outside [c, h - c] grows only into polygons with a dihedral image
       that starts lower, so none of them is a canonical form (see
       _chains).
+    - Pinned rule: a vertex is pinned when it is the only vertex at which
+      one of the 8 forms +-x, +-y, +-(x + y), +-(x - y) is greatest.
+      Points added to a chain only raise a form's maximum or tie it, so
+      a vertex unpinned in a chain stays unpinned in every polygon grown
+      from it.  Dropping an unpinned v keeps every form's maximum, and
+      _square_size_is reads only those (the two spans and the two shear
+      widths), so it gives the same answer for vs without v as for vs:
+      either vs has square size other than h and the size decision
+      rejects it, or the drop decision does.  Only tuples _sweep_one
+      rejects are cut.
 
-    _sweep_one then decides each tuple on its integers before any polygon
-    is built, and no tuple is reduced before is_minimal:
+    _sweep_one then makes four decisions on each tuple's integers before
+    any polygon is built, and no tuple is reduced before is_minimal:
 
-    - Square size: _square_size_is decides ls_square(P) == h (its
-      docstring has the proof).  Both spans below h fit the square of the
-      larger span; both spans h give square size h, as check_touch
-      proves; one span h needs both shear widths, along (1, 1) and
-      (1, -1), at least h.
-
-    Each side of the box [0, X] x [0, Y], X and Y the two axis spans,
-    holds one or two vertices.  The next three decisions read one profile
-    of them (see _sides), built only for the tuples of square size h:
-
-    - Box rejection: if both spans are h and some vertex is not the only
-      vertex on any side of the box [0, h]^2, dropping it keeps a vertex
-      on every side, so the drop keeps both spans h and square size h,
-      and the polygon is not minimal.
-    - Chord rejection: a polygon with at least 3 vertices that holds
-      (0, y) and (h, y), or (x, 0) and (x, h), holds a segment of lattice
-      length h.  Dropping a vertex other than those two lattice points
-      keeps them, so, as for the pair prune, the drop keeps square size
-      at least h and the polygon is not minimal.  _has_chord reads this
-      off the vertices on opposite sides of the box.
+    - Size: _square_size_is decides ls_square(P) == h (its docstring has
+      the proof).  Both spans below h fit the square of the larger span;
+      both spans h give square size h, as check_touch proves; one span h
+      needs both shear widths, along (1, 1) and (1, -1), at least h.
+    - Chord: a polygon with at least 3 vertices that holds (0, y) and
+      (h, y), or (x, 0) and (x, h), holds a segment of lattice length h.
+      Dropping a vertex other than those two lattice points keeps them,
+      so, as for the pair prune, the drop keeps square size at least h
+      and the polygon is not minimal.  _has_chord reads this off the
+      vertices on opposite sides of the box.
     - Dihedral filter: C is no larger than its 7 other dihedral images,
       so _has_smaller_image keeps it (see enumerate_classes); it reads
-      each image's first vertex off the profile.
-
-    The last decision reads the integers again:
-
-    - Drop rejection: if the vertices other than some vertex v span a
-      polygon of square size h, by the same test, the tuple is rejected.
-      That polygon lies inside drop_vertex(P, v), so, square size being
+      each image's first vertex off the side profile (see _sides).
+    - Drop: if the vertices other than some vertex v span a polygon of
+      square size h, by the size test, the tuple is rejected.  That
+      polygon lies inside drop_vertex(P, v), so, square size being
       monotone under inclusion, the drop keeps square size h and P is
-      not minimal.  The box rejection is this test's both-spans case,
-      read off the profile first.
+      not minimal.
 
-    The polygons left, 20 at h=4 and 116 at h=6, go through is_minimal,
-    which skips every drop its certificate shows to shrink, and
-    canonical_form.
+    The side profile is built only for the tuples of square size h.  The
+    polygons left, 20 at h=4 and 116 at h=6, go through is_minimal, which
+    tests every drop, and canonical_form.
 
     The walk is split by start (see _chains), and each start's chains are
     generated, decided and tested by _sweep_start, so several jobs spread

@@ -250,28 +250,12 @@ def is_minimal(P: ConvexPolygon) -> bool:
     that vertex's drop, and square size is monotone under inclusion, so
     single drops decide minimality.
 
-    P's reduced basis and widths are read off its memoized report
-    (_report), which canonical_form then reuses, so a polygon the sweep
-    keeps is reduced once; h = ls_square(P) is the width of the basis's
-    wider axis.  The drop of a vertex v that is the only vertex at one
-    end of each axis of width h needs no test: P meets that end in v
-    alone, so every other lattice point of P lies at least 1 inside it,
-    and in the reduced frame, where an axis narrower than h is at most
-    h - 1 wide already, the drop fits a box of side h - 1.
+    h is read off P's memoized report (_report), which canonical_form
+    then reuses, so a polygon the sweep keeps is reduced once.
     """
     if not P.is_lattice:
         raise InvalidInputError("minimality is about lattice polygons")
     if len(P.vertices) == 1:
         return True
-    report = _report(P)
-    basis, h = report.basis, report.ls_square
-    certified = set(P.vertices)
-    for u, w in ((basis.u1, report.width), (basis.u2, h)):
-        if w == h:
-            row = [u[0] * v.x + u[1] * v.y for v in P.vertices]
-            certified &= {P.vertices[row.index(t)] for t in (min(row), max(row))
-                          if row.count(t) == 1}
-    for v in P.vertices:
-        if v not in certified and ls_square(drop_vertex(P, v)) >= h:
-            return False
-    return True
+    h = _report(P).ls_square
+    return all(ls_square(drop_vertex(P, v)) < h for v in P.vertices)

@@ -13,6 +13,7 @@ from latticesize import (
     enumerate_classes,
     exceptional_triangle,
     extremal_family,
+    generate_minimal,
     hull,
     invariants,
     lattice_equivalent,
@@ -152,6 +153,27 @@ def test_width_bound_equality_census():
     """The width bounds are tight exactly on the width-extremal triangles,
     over the 1,517 classes of {0..4}^2 (see _width_bound_census)."""
     assert _width_bound_census(4) == (1_517, [2, 4])
+
+
+def test_square_bound_over_the_minimal_classes():
+    """2A >= h holds with slack on every full-dimensional minimal class of
+    square size h, h = 2..12, whose least 2A is 2h - 1.  Only the
+    triangle (1, 1) at h = 2, the exceptional one, and the triangle
+    (h/2, h/2) at even h >= 4, of width h, fall in an equality family.
+    A lattice polygon of square size h holds a minimal one of the same
+    square size, found by dropping vertices, and so at least its area."""
+    for h in range(2, 13):
+        classes = [P for P in generate_minimal(h) if P.dim == 2]
+        reports = [check_bounds(P) for P in classes]
+        assert all(rep.slack_square > 0 for rep in reports)
+        assert min(2 * area(P) for P in classes) == 2 * h - 1
+        families = [rep.equality_family for rep in reports if rep.equality_family]
+        if h == 2:
+            assert families == [EqualityFamily.EXCEPTIONAL_TRIANGLE]
+        elif h % 2 == 0:
+            assert families == [EqualityFamily.WIDTH_EXTREMAL_TRIANGLE]
+        else:
+            assert families == []
 
 
 class TestExtremalFamily:

@@ -3,6 +3,7 @@ import os
 import random
 import sys
 from math import gcd
+from unittest import mock
 
 import pytest
 
@@ -30,7 +31,6 @@ from latticesize.geometry import _cycle, drop_vertex, lattice_points, width
 from latticesize import minimal
 from latticesize.minimal import (
     _has_chord,
-    _has_loose_vertex,
     _square_size_is,
     _sweep_one,
     quad_reflect_params,
@@ -275,12 +275,18 @@ def _holds_band_point(h, vs):
                for x, y in vs)
 
 
-def _reference_has_loose_vertex(h, vs):
-    """For a vertex tuple vs whose two axis spans are both h, whether
-    some vertex is the only vertex on no side of the box [0, h]^2, with
-    each side's vertices listed: the reference for _has_loose_vertex."""
-    sides = [[v for v in vs if v[i] == end] for i in (0, 1) for end in (0, h)]
-    return len({side[0] for side in sides if len(side) == 1}) < len(vs)
+def _has_unpinned_vertex(vs):
+    """Whether some vertex of vs is the only maximiser of none of the 8
+    forms +-x, +-y, +-(x + y), +-(x - y), with each form's maximisers
+    listed: the reference for the pinned rule of the sweep's generator."""
+    pinned = set()
+    for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)):
+        values = [a * x + b * y for x, y in vs]
+        top = max(values)
+        maximisers = [v for v, t in zip(vs, values) if t == top]
+        if len(maximisers) == 1:
+            pinned.add(maximisers[0])
+    return len(pinned) < len(vs)
 
 
 def _holds_chord(h, vs):
@@ -339,7 +345,7 @@ class TestSweepFilters:
         assert set(report.search_classes) == unfiltered
         assert report.matches
 
-    @pytest.mark.parametrize("h,count", [(1, 3), (2, 11), (3, 100), (4, 1_129), (5, 12_401)])
+    @pytest.mark.parametrize("h,count", [(1, 3), (2, 9), (3, 38), (4, 176), (5, 823)])
     def test_survivor_counts(self, h, count):
         # a prune or filter that rejects too little keeps the class set,
         # so only the count of tuples it leaves shows it
@@ -347,7 +353,7 @@ class TestSweepFilters:
 
     @pytest.mark.parametrize("h,count", [(1, 2), (2, 3), (3, 8), (4, 20), (5, 52)])
     def test_built_counts(self, h, count, monkeypatch):
-        # the same for the span, box, chord, square-size and drop tests, in
+        # the same for the square-size, chord and drop tests, in
         # the polygons built: each goes straight to is_minimal, whose
         # stand-in rejects it, and the sweep itself reduces none of them;
         # they are the tuples that _decided_tuples, which the audit uses,
@@ -361,7 +367,7 @@ class TestSweepFilters:
 
     def test_profiles_only_square_size_h(self, monkeypatch):
         # the square-size test comes first, so the side profile is built
-        # for exactly the tuples it keeps: 1,728 of the 3,871 at h=4
+        # for exactly the tuples it keeps: 178 of the 557 at h=4
         h = 4
         profiled = []
         sides = minimal._sides
@@ -369,7 +375,7 @@ class TestSweepFilters:
         for vs in _sweep_chains(h):
             _sweep_one(h, vs)
         assert profiled == [vs for vs in _sweep_chains(h) if _square_size_is(h, vs)]
-        assert len(profiled) == 1_728
+        assert len(profiled) == 178
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_pair_rejections_are_not_minimal(self, h):
@@ -391,16 +397,14 @@ class TestSweepFilters:
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_decisions_match_the_references(self, h, monkeypatch):
-        # _sweep_one's six decisions on integers against the six tests
-        # written out separately, the square size and the drops through
-        # ls_square; a tuple that none rejects is built and reaches the
-        # stand-in
+        # _sweep_one's four decisions on integers against tests written
+        # out separately, the square size and the drops through ls_square;
+        # a tuple that none rejects is built and reaches the stand-in
         reached = []
         monkeypatch.setattr(minimal, "is_minimal", lambda P: reached.append(P) and False)
         for vs in _anchored_chains(h):
             X, Y = _spans(vs)
             rejected = ((X < h and Y < h)
-                        or ((X, Y) == (h, h) and _reference_has_loose_vertex(h, vs))
                         or (len(vs) >= 3 and _holds_chord(h, vs))
                         or _reference_has_smaller_image(vs)
                         or ls_square(hull(vs)) != h)
@@ -432,18 +436,20 @@ class TestSweepFilters:
 class TestSweepPrunes:
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_prunes_keep_the_filtered_list(self, h):
-        # the unpruned way: every anchored tuple, then the pair and
-        # dihedral filters as tuple tests
+        # the unpruned way: every anchored tuple, then the pair, pinned
+        # and dihedral filters as tuple tests
         want = [vs for vs in _anchored_chains(h)
-                if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _has_smaller_image(vs)]
+                if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _has_unpinned_vertex(vs)
+                and not _has_smaller_image(vs)]
         assert _survivors(h) == want
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_prunes_drop_exactly_the_pruned_tuples(self, h):
         # the anchored tuples less those with a long pair (3 or more
-        # vertices) or a band point, in the same order
+        # vertices), a band point or an unpinned vertex, in the same order
         want = [vs for vs in _anchored_chains(h)
-                if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _holds_band_point(h, vs)]
+                if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _holds_band_point(h, vs)
+                and not _has_unpinned_vertex(vs)]
         assert list(_sweep_chains(h)) == want
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
@@ -452,9 +458,18 @@ class TestSweepPrunes:
         assert held
         assert all(_reference_has_smaller_image(vs) for vs in held)
 
+    @pytest.mark.parametrize("h,cut", [(2, 6), (3, 214), (4, 3_314)])
+    def test_unpinned_tuples_are_rejected(self, h, cut):
+        # every anchored tuple with an unpinned vertex (none at h=1), and
+        # the tuples the rule cuts from the sweep's walk, by the audit
+        held = [vs for vs in _anchored_chains(h) if _has_unpinned_vertex(vs)]
+        assert held
+        assert all(_sweep_one(h, vs) is None for vs in held)
+        assert _audit_pinned(h) == (cut, 0)
+
     def test_prunes_skip_chains(self, monkeypatch):
         # 18,019 anchored tuples of {0..4}^2 in 18,051 _grow calls
-        # (test_anchored_pruning_skips_chains); the prunes leave 3,871
+        # (test_anchored_pruning_skips_chains); the prunes leave 557
         grow, calls = enumeration._grow, []
 
         def counted(*args):
@@ -464,18 +479,11 @@ class TestSweepPrunes:
         monkeypatch.setattr(enumeration, "_grow", counted)
         assert sum(1 for _ in _anchored_chains(4)) == 18_019
         unpruned = len(calls)
-        assert sum(1 for _ in _sweep_chains(4)) == 3_871
-        assert (unpruned, len(calls) - unpruned) == (18_051, 3_870)
+        assert sum(1 for _ in _sweep_chains(4)) == 557
+        assert (unpruned, len(calls) - unpruned) == (18_051, 556)
 
 
 class TestSpanDecisions:
-    @pytest.mark.parametrize("h", [1, 2, 3, 4])
-    def test_box_rejections_are_not_minimal(self, h):
-        rejected = [vs for vs in _anchored_chains(h)
-                    if _spans(vs) == (h, h) and _has_loose_vertex(vs, _sides(vs))]
-        assert rejected
-        assert not any(is_minimal(hull(vs)) for vs in rejected)
-
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_both_spans_h_is_square_size_h(self, h):
         square = [vs for vs in _survivors(h) if _spans(vs) == (h, h)]
@@ -488,37 +496,16 @@ class TestSpanDecisions:
         assert small
         assert all(ls_square(hull(vs)) < h for vs in small)
 
-    def test_loose_vertex(self):
-        def loose(vs):
-            return _has_loose_vertex(vs, _sides(vs))
-
-        # the square: every vertex shares both its sides
-        assert loose(((0, 0), (2, 0), (2, 2), (0, 2)))
-        # each vertex of the triangle is alone on a side
-        assert not loose(((0, 0), (2, 1), (1, 2)))
-        # (0, 0) and (2, 2) are alone on a side, (2, 0) shares both its sides
-        assert loose(((0, 0), (2, 0), (2, 2)))
-        # two vertices alone on two sides each leave (2, 1) on none
-        assert loose(((0, 0), (2, 1), (3, 3)))
-        assert not loose(((0, 0), (3, 3)))
-
-    @pytest.mark.parametrize("h", [1, 2, 3, 4])
-    def test_loose_vertex_matches_reference(self, h):
-        square = [vs for vs in _anchored_chains(h) if _spans(vs) == (h, h)]
-        assert all(_has_loose_vertex(vs, _sides(vs)) == _reference_has_loose_vertex(h, vs)
-                   for vs in square)
-
 
 def _decided_tuples(h):
-    """The survivors that the span, box and chord tests keep, split into
-    those the square size rejects, those a drop rejects and the ones
-    left, which are built."""
+    """The survivors that the span and chord tests keep, split into those
+    the square size rejects, those a drop rejects and the ones left,
+    which are built."""
     size, drop, left = [], [], []
     for vs in _survivors(h):
         sides = _sides(vs)
         X, Y = sides[:2]
-        if ((X < h and Y < h) or (X == Y == h and _has_loose_vertex(vs, sides))
-                or (len(vs) >= 3 and _has_chord(h, sides))):
+        if (X < h and Y < h) or (len(vs) >= 3 and _has_chord(h, sides)):
             continue
         if not _square_size_is(h, vs):
             size.append(vs)
@@ -540,6 +527,29 @@ def _audit_rejections(h):
     size, drop, _ = _decided_tuples(h)
     wrong = sum(ls_square(hull(vs)) >= h for vs in size) + sum(is_minimal(hull(vs)) for vs in drop)
     return len(size), len(drop), wrong
+
+
+def _audit_pinned(h):
+    """The pinned rule of the sweep's generator at square size h checked
+    against the same walk without it: (tuples the rule cuts,
+    disagreements), where a cut tuple disagrees unless it has an unpinned
+    vertex, by the reference, and _sweep_one rejects it, and the walk
+    with the rule disagrees once more unless it is a subsequence of the
+    walk without it.  Outside the tests, run it as
+    PYTHONPATH=src:tests python -c "import test_minimal as t; print(t._audit_pinned(7))"
+    """
+    # listed before the patch, which a lazy walk would read
+    kept = iter(list(_sweep_chains(h)))
+    head = next(kept, None)
+    cut = wrong = 0
+    with mock.patch.object(enumeration, "_pin", lambda pins, *_: pins):
+        for vs in _sweep_chains(h):
+            if vs == head:
+                head = next(kept, None)
+            else:
+                cut += 1
+                wrong += not _has_unpinned_vertex(vs) or _sweep_one(h, vs) is not None
+    return cut, wrong + (head is not None)
 
 
 class TestIntegerDecisions:
@@ -575,7 +585,7 @@ class TestIntegerDecisions:
                 assert _square_size_is(h, P.vertices) == (ls_square(P) == h), P
 
     @pytest.mark.parametrize("h,size,drop", [
-        (1, 0, 0), (2, 3, 0), (3, 27, 9), (4, 250, 184), (5, 2_223, 2_535)])
+        (1, 0, 0), (2, 1, 0), (3, 5, 3), (4, 27, 38), (5, 116, 262)])
     def test_rejections_are_sound(self, h, size, drop):
         # every size rejection is below h and every drop rejection is not
         # minimal, by ls_square and is_minimal

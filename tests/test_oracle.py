@@ -590,22 +590,3 @@ class TestIsMinimal:
 
     def test_matches_all_drops(self):
         assert all(is_minimal(P) == _reference_is_minimal(P) for P in self.grid_and_images())
-
-    def test_skipped_drops_shrink(self, monkeypatch):
-        # a point stands in for every drop is_minimal makes, so it makes all
-        # but the certified ones; each of those must shrink the square size
-        made = []
-        monkeypatch.setattr(oracle, "drop_vertex", lambda P, v: made.append(v) or hull([v]))
-        skipped = 0
-        for P in self.grid_and_images():
-            if len(P.vertices) == 1:
-                continue
-            made.clear()
-            assert is_minimal(P)
-            h = ls_square(P)
-            for v in set(P.vertices) - set(made):
-                skipped += 1
-                assert ls_square(drop_vertex(P, v)) < h, (P, v)
-        # of 24,216 drops; a certificate demanding more than the axes of
-        # width h skips fewer
-        assert skipped == 3_338
