@@ -9,6 +9,28 @@ square size h, triangle size l, and area A:
 Each is tight, and the polygons attaining equality are classified by the
 families below.  check_bounds reports the slack of every applicable bound
 together with the equality family, if any.
+
+2A >= h reduces to the minimal classes of square size h (see minimal).
+Let P be full-dimensional with square size h, and drop vertices
+(drop_vertex) while the square size stays h.  Each drop lies in the
+polygon before it, so this ends at a minimal M inside P of square size h.
+
+- If M is the axis segment of lattice length h, P holds that segment S
+  and a lattice point q off its line, so conv(S, q), of twice the area
+  h times q's lattice distance from the line, lies in P: 2A >= h.  With
+  equality P is that triangle, q at distance 1, which is the thin
+  triangle up to equivalence.
+- Otherwise M is a full-dimensional class, and area is monotone under
+  inclusion, so 2A(P) >= 2A(M).  If the two are equal, P = M, since a
+  convex M inside P with the same area is P.
+
+At h = 1 the segment is the only class.  For h = 2..12 every
+full-dimensional class has 2A >= 2h - 1 > h, so the bound holds with
+equality only for the thin triangle.  That range is verified: the
+exhaustive sweep (verify_classification) has been run up to h = 12 and
+finds exactly the family classes, and
+test_square_bound_over_the_minimal_classes checks their areas.  Beyond
+h = 12 the reduction rests on the paper's classification.
 """
 from __future__ import annotations
 

@@ -29,7 +29,7 @@ from .geometry import (
     polygon_to_text,
 )
 from .minimal import DEFAULT_CLASSIFY_LIMIT, generate_minimal, verify_classification
-from .oracle import brute_force_lattice_size, canonical_form, lattice_equivalent
+from .oracle import brute_force_lattice_size, canonical_form, is_minimal, lattice_equivalent
 from .size import invariants
 
 _JOBS_ENV = "LATTICESIZE_JOBS"
@@ -233,6 +233,10 @@ def _cmd_corpus_check(args) -> int:
         })
         if not report.matches:
             failures.append(f"classification mismatch at h={h}")
+        # the sweep decides minimality on lattice points; is_minimal,
+        # which tests every drop through ls_square, checks its classes
+        failures.extend(f"{_poly_line(C)}: class at h={h} is not minimal"
+                        for C in report.search_classes if not is_minimal(C))
     _emit({
         "n": args.n,
         "polygons": count,

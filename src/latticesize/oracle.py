@@ -251,7 +251,8 @@ def is_minimal(P: ConvexPolygon) -> bool:
     single drops decide minimality.
 
     h is read off P's memoized report (_report), which canonical_form
-    then reuses, so a polygon the sweep keeps is reduced once.
+    then reuses.  The h-sweep decides the same question on integers
+    (minimal._sweep_one), and the tests check it against this.
     """
     if not P.is_lattice:
         raise InvalidInputError("minimality is about lattice polygons")

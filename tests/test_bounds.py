@@ -10,13 +10,16 @@ from latticesize import (
     apply_map,
     area,
     check_bounds,
+    drop_vertex,
     enumerate_classes,
     exceptional_triangle,
     extremal_family,
     generate_minimal,
     hull,
     invariants,
+    is_minimal,
     lattice_equivalent,
+    ls_square,
     thin_triangle,
     unit_square,
     width_extremal_triangle,
@@ -174,6 +177,19 @@ def test_square_bound_over_the_minimal_classes():
             assert families == [EqualityFamily.WIDTH_EXTREMAL_TRIANGLE]
         else:
             assert families == []
+
+
+def test_thin_triangle_drops_to_the_segment():
+    """Dropping the apex (0, 1) of the thin triangle leaves the axis
+    segment of lattice length h with the same square size, so the thin
+    triangle, with 2A = h, is not minimal and reduces to the segment: the
+    segment case of the module's argument for 2A >= h."""
+    for h in range(1, 13):
+        T = thin_triangle(h)
+        assert 2 * area(T) == h
+        assert drop_vertex(T, (0, 1)) == hull([(0, 0), (h, 0)])
+        assert ls_square(T) == ls_square(drop_vertex(T, (0, 1))) == h
+        assert not is_minimal(T)
 
 
 class TestExtremalFamily:

@@ -457,6 +457,13 @@ class TestVerificationFailures:
         assert data["failures"] == ["classification mismatch at h=1"]
         assert data["classification"] == [{"h": 1, "classes": 1, "match": False}]
 
+    def test_corpus_class_not_minimal(self, monkeypatch, capsys):
+        # the slow minimality test checks every class the sweep finds
+        monkeypatch.setattr(latticesize.cli, "is_minimal", lambda P: False)
+        data = self._corpus_check(capsys)
+        assert data["failures"] == ["0,0;0,1: class at h=1 is not minimal"]
+        assert data["classification"] == [{"h": 1, "classes": 1, "match": True}]
+
 
 class TestJobsVariable:
     """$LATTICESIZE_JOBS is read only by commands that use workers; none

@@ -30,6 +30,7 @@ from latticesize.enumeration import (
 from latticesize.geometry import _cycle, drop_vertex, lattice_points, width
 from latticesize import minimal
 from latticesize.minimal import (
+    _class_key,
     _has_chord,
     _square_size_is,
     _sweep_one,
@@ -160,6 +161,19 @@ class TestGeneration:
             list(minimal_families(0))
         with pytest.raises(InvalidInputError):
             generate_minimal(-1)
+
+    def test_one_canonical_form_per_box_orbit(self, monkeypatch):
+        # the per-member path written out, against the path that
+        # canonicalises one family member per orbit of the box's
+        # symmetries: 8 canonical forms for the 14 members at h=4
+        for h in range(1, 11):
+            per_member = sorted({canonical_form(realize(f)) for f in minimal_families(h)},
+                                key=_class_key)
+            assert generate_minimal(h) == per_member
+        calls = []
+        monkeypatch.setattr(minimal, "canonical_form", lambda P: calls.append(P) or canonical_form(P))
+        generate_minimal(4)
+        assert (len(calls), sum(1 for _ in minimal_families(4))) == (8, 14)
 
     def test_class_counts_are_box_orbits(self):
         # the classes generate_minimal finds, against the orbits of the
@@ -304,11 +318,11 @@ def _reference_keeping_drops(h, vs):
     return [v for i, v in enumerate(vs) if ls_square(hull(vs[:i] + vs[i + 1:])) == h]
 
 
-def _stub_ls_square(monkeypatch, stub):
-    """Replace ls_square by stub in every package module that binds it."""
+def _stub(monkeypatch, fn, stub):
+    """Replace fn by stub in every package module that binds it."""
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "latticesize" and getattr(module, "ls_square", None) is ls_square:
-            monkeypatch.setattr(module, "ls_square", stub)
+        if name.split(".")[0] == "latticesize" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, stub)
 
 
 def _sweep_chains(h):
@@ -353,17 +367,22 @@ class TestSweepFilters:
 
     @pytest.mark.parametrize("h,count", [(1, 2), (2, 3), (3, 8), (4, 20), (5, 52)])
     def test_built_counts(self, h, count, monkeypatch):
-        # the same for the square-size, chord and drop tests, in
-        # the polygons built: each goes straight to is_minimal, whose
-        # stand-in rejects it, and the sweep itself reduces none of them;
-        # they are the tuples that _decided_tuples, which the audit uses,
-        # leaves
-        built, reduced = [], []
-        _stub_ls_square(monkeypatch, lambda P: reduced.append(P) or -1)
-        monkeypatch.setattr(minimal, "is_minimal", lambda P: built.append(P.vertices) and False)
+        # the same for the square-size, chord and drop tests, in the
+        # polygons built, whose lattice points are listed once each; the
+        # minimal ones, by is_minimal, reach canonical_form, whose
+        # stand-in rejects them, and the sweep reduces none of them
+        built, reached, slow = [], [], []
+        _stub(monkeypatch, ls_square, lambda P: slow.append(P) or -1)
+        _stub(monkeypatch, is_minimal, lambda P: slow.append(P))
+        monkeypatch.setattr(minimal, "lattice_points",
+                            lambda P: built.append(P.vertices) or lattice_points(P))
+        monkeypatch.setattr(minimal, "canonical_form", lambda P: reached.append(P.vertices))
         assert not any(_sweep_one(h, vs) for vs in _sweep_chains(h))
-        assert (len(built), len(reduced)) == (count, 0)
-        assert built == _decided_tuples(h)[2]
+        assert (len(built), len(reached), slow) == (count, count - _LATTICE_DROPS[h], [])
+        monkeypatch.undo()
+        _, _, lattice, left = _decided_tuples(h)
+        assert sorted(built) == sorted(lattice + left)
+        assert reached == left == [vs for vs in built if is_minimal(hull(vs))]
 
     def test_profiles_only_square_size_h(self, monkeypatch):
         # the square-size test comes first, so the side profile is built
@@ -397,11 +416,12 @@ class TestSweepFilters:
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_decisions_match_the_references(self, h, monkeypatch):
-        # _sweep_one's four decisions on integers against tests written
-        # out separately, the square size and the drops through ls_square;
-        # a tuple that none rejects is built and reaches the stand-in
+        # _sweep_one's five decisions against tests written out
+        # separately, the square size and the vertex drops through
+        # ls_square and minimality through is_minimal; a tuple that none
+        # rejects reaches the stand-in of canonical_form
         reached = []
-        monkeypatch.setattr(minimal, "is_minimal", lambda P: reached.append(P) and False)
+        monkeypatch.setattr(minimal, "canonical_form", lambda P: reached.append(P))
         for vs in _anchored_chains(h):
             X, Y = _spans(vs)
             rejected = ((X < h and Y < h)
@@ -413,7 +433,8 @@ class TestSweepFilters:
                 # conv of the other vertices lies in the drop, which so
                 # keeps square size h as well
                 assert all(ls_square(drop_vertex(hull(vs), v)) == h for v in kept)
-                rejected = bool(kept)
+                rejected = not is_minimal(hull(vs))
+                assert rejected or not kept
             reached.clear()
             assert _sweep_one(h, vs) is None
             assert len(reached) == (not rejected), vs
@@ -497,11 +518,16 @@ class TestSpanDecisions:
         assert all(ls_square(hull(vs)) < h for vs in small)
 
 
+# tuples of the sweep at h = 1..5 that the lattice-drop decision rejects
+_LATTICE_DROPS = {1: 0, 2: 0, 3: 1, 4: 4, 5: 13}
+
+
 def _decided_tuples(h):
     """The survivors that the span and chord tests keep, split into those
-    the square size rejects, those a drop rejects and the ones left,
-    which are built."""
-    size, drop, left = [], [], []
+    the square size rejects, those a vertex drop rejects, those a drop
+    over the lattice points rejects and the ones left, which reach
+    canonical_form."""
+    size, drop, lattice, left = [], [], [], []
     for vs in _survivors(h):
         sides = _sides(vs)
         X, Y = sides[:2]
@@ -512,21 +538,25 @@ def _decided_tuples(h):
         elif any(_square_size_is(h, vs[:i] + vs[i + 1:]) for i in range(len(vs))):
             drop.append(vs)
         else:
-            left.append(vs)
-    return size, drop, left
+            points = lattice_points(hull(vs))
+            keeps = any(_square_size_is(h, [p for p in points if p != v]) for v in vs)
+            (lattice if keeps else left).append(vs)
+    return size, drop, lattice, left
 
 
 def _audit_rejections(h):
-    """The two integer rejections of the sweep at square size h checked by
-    the slow path: (size rejections, drop rejections, disagreements),
-    where a size rejection disagrees unless ls_square(hull(vs)) < h and a
-    drop rejection unless is_minimal(hull(vs)) is False.  Outside the
-    tests, run it as
+    """The three rejections of the sweep at square size h that read no
+    canonical form checked by the slow path: (size rejections, vertex-drop
+    rejections, lattice-drop rejections, disagreements), where a size
+    rejection disagrees unless ls_square(hull(vs)) < h and a drop
+    rejection of either kind unless is_minimal(hull(vs)) is False.
+    Outside the tests, run it as
     PYTHONPATH=src:tests python -c "import test_minimal as t; print(t._audit_rejections(6))"
     """
-    size, drop, _ = _decided_tuples(h)
-    wrong = sum(ls_square(hull(vs)) >= h for vs in size) + sum(is_minimal(hull(vs)) for vs in drop)
-    return len(size), len(drop), wrong
+    size, drop, lattice, _ = _decided_tuples(h)
+    wrong = (sum(ls_square(hull(vs)) >= h for vs in size)
+             + sum(is_minimal(hull(vs)) for vs in drop + lattice))
+    return len(size), len(drop), len(lattice), wrong
 
 
 def _audit_pinned(h):
@@ -587,6 +617,7 @@ class TestIntegerDecisions:
     @pytest.mark.parametrize("h,size,drop", [
         (1, 0, 0), (2, 1, 0), (3, 5, 3), (4, 27, 38), (5, 116, 262)])
     def test_rejections_are_sound(self, h, size, drop):
-        # every size rejection is below h and every drop rejection is not
-        # minimal, by ls_square and is_minimal
-        assert _audit_rejections(h) == (size, drop, 0)
+        # every size rejection is below h and every drop rejection, over
+        # the vertices or the lattice points, is not minimal, by ls_square
+        # and is_minimal
+        assert _audit_rejections(h) == (size, drop, _LATTICE_DROPS[h], 0)
