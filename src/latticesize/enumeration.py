@@ -98,10 +98,10 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
     carries the set of points it may not take (_grow's `banned`):
 
     - pair prune: every point w' with gcd(w' - u) >= h for a vertex u of
-      the chain.  A polygon with three or more vertices, two of which
-      span such a segment, is not minimal (see verify_classification),
-      and so is every polygon grown from the chain.  The 2-point chain
-      (v0, w) is still yielded as a segment, and only its growth stops.
+      the chain, which would span a segment of lattice length at least h
+      with u (see verify_classification for why no such polygon of three
+      or more vertices is minimal).  The 2-point chain (v0, w) is still
+      yielded as a segment, and only its growth stops.
     - band prune: for v0 = (0, c), every point on a side of the box
       [0, n]^2 whose coordinate t along that side lies outside
       [c, n - c].  A polygon holding it has a dihedral image whose first
@@ -115,11 +115,10 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
       v0 itself is such a point, and nothing grows from it.
     - pinned rule: every chain with an unpinned vertex, one that is the
       only greatest point of none of the 8 forms of _Grid.forms over the
-      chain.  It stays unpinned in every polygon grown from the chain,
-      none of which is minimal of square size h (see
-      verify_classification).  A chain carries each form's greatest value
-      and its sole attainer (_grow's `pins`); points and segments are
-      always pinned.
+      chain (see verify_classification for why no polygon grown from it
+      is minimal of square size h).  A chain carries each form's greatest
+      value and its sole attainer (_grow's `pins`); points and segments
+      are always pinned.
     """
     grid = _Grid(n, anchored, sweep)
     for start in grid.starts():
@@ -347,12 +346,11 @@ def _sides(vs: tuple) -> tuple:
             top_lo, top_hi)
 
 
-def _has_smaller_image(vs: tuple, sides: tuple | None = None) -> bool:
+def _has_smaller_image(vs: tuple) -> bool:
     """Whether a symmetry of the square maps the polygon with vertex
     tuple vs, both coordinate minima 0, to a smaller vertex tuple once
     translated back to minima 0.  That image is a unimodular image of the
     same polygon, so vs is then not its canonical form, the least one.
-    sides is vs's side profile, _sides(vs), when the caller has it.
 
     vs starts at (0, c), c the least y on x = 0, and an image starts at
     (0, c') with c' read off the profile: the side the image's x = 0
@@ -362,8 +360,7 @@ def _has_smaller_image(vs: tuple, sides: tuple | None = None) -> bool:
     An image with c' < c is smaller and one with c' > c is larger, so
     only one with c' = c is built and compared in full.
     """
-    X, Y, c, left_hi, right_lo, right_hi, bottom_lo, bottom_hi, top_lo, top_hi = \
-        sides or _sides(vs)
+    X, Y, c, left_hi, right_lo, right_hi, bottom_lo, bottom_hi, top_lo, top_hi = _sides(vs)
     # c' of each image, in _SYMMETRIES order
     firsts = (Y - left_hi, right_lo, Y - right_hi, bottom_lo, X - bottom_hi, top_lo, X - top_hi)
     if min(firsts) < c:

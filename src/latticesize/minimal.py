@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .enumeration import _Grid, _has_smaller_image, _sides, map_polygons
+from .enumeration import _Grid, _has_smaller_image, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import ConvexPolygon, Point, hull, lattice_points
 from .oracle import canonical_form
@@ -175,16 +175,6 @@ class ClassificationReport:
         return not self.only_in_families and not self.only_in_search
 
 
-def _has_chord(h: int, sides: tuple) -> bool:
-    """Whether the polygon with side profile sides (see _sides), both
-    coordinate minima 0, holds lattice points (0, y) and (h, y), or
-    (x, 0) and (x, h): its vertices on two opposite sides of the box
-    [0, h]^2 then span overlapping integer ranges."""
-    X, Y, left_lo, left_hi, right_lo, right_hi, bottom_lo, bottom_hi, top_lo, top_hi = sides
-    return ((X == h and max(left_lo, right_lo) <= min(left_hi, right_hi))
-            or (Y == h and max(bottom_lo, top_lo) <= min(bottom_hi, top_hi)))
-
-
 def _square_size_is(h: int, vs) -> bool:
     """Whether the lattice polygon conv(vs), both axis spans at most h,
     has square size h; vs holds its vertices and may hold more of its
@@ -228,10 +218,7 @@ def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
     own canonical form, else None; verify_classification argues the
     decisions, which all read integers, and the last of them the
     polygon's lattice points."""
-    if not _square_size_is(h, vs):
-        return None
-    sides = _sides(vs)
-    if ((len(vs) >= 3 and _has_chord(h, sides)) or _has_smaller_image(vs, sides)
+    if (not _square_size_is(h, vs) or _has_smaller_image(vs)
             or any(_square_size_is(h, vs[:i] + vs[i + 1:]) for i in range(len(vs)))):
         return None
     P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
@@ -259,10 +246,9 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     once.  The sweep rejects only polygons that cannot be such a C of a
     minimal polygon of square size h, and it decides minimality exactly
     for every polygon it keeps, so its class set is the full grid's.  C
-    has both coordinate minima 0, so it is a tuple of
-    _anchored_chains(h).  Three
-    prunes cut whole chains in the generator, _chains(h, anchored=True,
-    sweep=True), before a tuple is finished:
+    has both coordinate minima 0, so it is a tuple of _anchored_chains(h).
+    Three prunes cut whole chains in the generator, _chains(h,
+    anchored=True, sweep=True), before a tuple is finished:
 
     - Pair prune: a polygon with at least 3 vertices, two of which differ
       by a vector whose gcd is at least h, is not minimal.  Dropping a
@@ -285,29 +271,22 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       rejects it, or the drop decision does.  Only tuples _sweep_one
       rejects are cut.
 
-    _sweep_one then makes four decisions on each tuple's integers before
-    any polygon is built, and a fifth on the lattice points of the
+    _sweep_one then makes three decisions on each tuple's integers before
+    any polygon is built, and a fourth on the lattice points of the
     polygons left; only the minimal ones are reduced, by canonical_form:
 
     - Size: _square_size_is decides ls_square(P) == h (its docstring has
       the proof).  Both spans below h fit the square of the larger span;
       both spans h give square size h, as check_touch proves; one span h
       needs both shear widths, along (1, 1) and (1, -1), at least h.
-    - Chord: a polygon with at least 3 vertices that holds (0, y) and
-      (h, y), or (x, 0) and (x, h), holds a segment of lattice length h.
-      Dropping a vertex other than those two lattice points keeps them,
-      so, as for the pair prune, the drop keeps square size at least h
-      and the polygon is not minimal.  _has_chord reads this off the
-      vertices on opposite sides of the box.
     - Dihedral filter: C is no larger than its 7 other dihedral images,
-      so _has_smaller_image keeps it (see enumerate_classes); it reads
-      each image's first vertex off the side profile (see _sides).
+      so _has_smaller_image keeps it (see enumerate_classes).
     - Drop: if the vertices other than some vertex v span a polygon of
       square size h, by the size test, the tuple is rejected.  That
       polygon lies inside drop_vertex(P, v), so, square size being
       monotone under inclusion, the drop keeps square size h and P is
       not minimal.  This cheap first pass reads vertices only.
-    - Lattice drop: the polygons left, 20 at h=4 and 116 at h=6, are
+    - Lattice drop: the polygons left, 22 at h=4 and 122 at h=6, are
       built, and their lattice points L(P) listed once.  P is minimal
       exactly when no vertex v gives _square_size_is(h, L(P) minus v)
       (see is_minimal: single drops decide).  drop_vertex(P, v) is the
@@ -316,9 +295,11 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       The drop lies in P, so in [0, h]^2: both its spans are at most h,
       as _square_size_is needs, and so is its square size, so the test
       decides exactly whether the drop keeps square size h.  This
-      rejects 4 of the 20 at h=4 and 36 of the 116 at h=6.
-
-    The side profile is built only for the tuples of square size h.
+      rejects 6 of the 22 at h=4 and 42 of the 122 at h=6.  It rejects
+      every polygon left with at least 3 vertices that holds (0, y) and
+      (h, y), or (x, 0) and (x, h): some vertex v is neither point, so
+      L(P) minus v keeps that segment of lattice length h, and the drop
+      has square size h, as for the pair prune.
 
     The walk is split by start (see _chains), and each start's chains are
     generated, decided and tested by _sweep_start, so several jobs spread

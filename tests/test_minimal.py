@@ -26,12 +26,11 @@ from latticesize import (
 )
 from latticesize import enumeration
 from latticesize.enumeration import (
-    _SYMMETRIES, _anchored_chains, _chains, _has_smaller_image, _sides)
+    _SYMMETRIES, _anchored_chains, _chains, _has_smaller_image)
 from latticesize.geometry import _cycle, drop_vertex, lattice_points, width
 from latticesize import minimal
 from latticesize.minimal import (
     _class_key,
-    _has_chord,
     _square_size_is,
     _sweep_one,
     quad_reflect_params,
@@ -306,7 +305,7 @@ def _has_unpinned_vertex(vs):
 def _holds_chord(h, vs):
     """Whether the polygon hull(vs) holds lattice points (0, y) and (h, y),
     or (x, 0) and (x, h), found among its lattice points: the reference
-    for _has_chord."""
+    for the chord tuples, which the sweep's drop decisions reject."""
     points = set(lattice_points(hull(vs)))
     return any({(0, t), (h, t)} <= points or {(t, 0), (t, h)} <= points
                for t in range(h + 1))
@@ -365,9 +364,9 @@ class TestSweepFilters:
         # so only the count of tuples it leaves shows it
         assert len(_survivors(h)) == count
 
-    @pytest.mark.parametrize("h,count", [(1, 2), (2, 3), (3, 8), (4, 20), (5, 52)])
+    @pytest.mark.parametrize("h,count", [(1, 2), (2, 3), (3, 9), (4, 22), (5, 56)])
     def test_built_counts(self, h, count, monkeypatch):
-        # the same for the square-size, chord and drop tests, in the
+        # the same for the square-size and drop tests, in the
         # polygons built, whose lattice points are listed once each; the
         # minimal ones, by is_minimal, reach canonical_form, whose
         # stand-in rejects them, and the sweep reduces none of them
@@ -389,8 +388,8 @@ class TestSweepFilters:
         # for exactly the tuples it keeps: 178 of the 557 at h=4
         h = 4
         profiled = []
-        sides = minimal._sides
-        monkeypatch.setattr(minimal, "_sides", lambda vs: profiled.append(vs) or sides(vs))
+        sides = enumeration._sides
+        monkeypatch.setattr(enumeration, "_sides", lambda vs: profiled.append(vs) or sides(vs))
         for vs in _sweep_chains(h):
             _sweep_one(h, vs)
         assert profiled == [vs for vs in _sweep_chains(h) if _square_size_is(h, vs)]
@@ -404,19 +403,16 @@ class TestSweepFilters:
         assert not any(is_minimal(hull(vs)) for vs in rejected)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
-    def test_chord_rejections_are_not_minimal(self, h):
-        rejected = [vs for vs in _anchored_chains(h)
-                    if len(vs) >= 3 and _has_chord(h, _sides(vs))]
-        assert rejected
-        assert not any(is_minimal(hull(vs)) for vs in rejected)
-
-    @pytest.mark.parametrize("h", [1, 2, 3, 4])
-    def test_chord_is_read_off_the_sides(self, h):
-        assert all(_has_chord(h, _sides(vs)) == _holds_chord(h, vs) for vs in _anchored_chains(h))
+    def test_chord_tuples_are_rejected(self, h):
+        # every anchored tuple with 3 or more vertices that holds a chord:
+        # no decision reads the chord, and a drop decision rejects it
+        held = [vs for vs in _anchored_chains(h) if len(vs) >= 3 and _holds_chord(h, vs)]
+        assert held
+        assert all(_sweep_one(h, vs) is None for vs in held)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_decisions_match_the_references(self, h, monkeypatch):
-        # _sweep_one's five decisions against tests written out
+        # _sweep_one's four decisions against tests written out
         # separately, the square size and the vertex drops through
         # ls_square and minimality through is_minimal; a tuple that none
         # rejects reaches the stand-in of canonical_form
@@ -425,7 +421,6 @@ class TestSweepFilters:
         for vs in _anchored_chains(h):
             X, Y = _spans(vs)
             rejected = ((X < h and Y < h)
-                        or (len(vs) >= 3 and _holds_chord(h, vs))
                         or _reference_has_smaller_image(vs)
                         or ls_square(hull(vs)) != h)
             if not rejected:
@@ -519,19 +514,16 @@ class TestSpanDecisions:
 
 
 # tuples of the sweep at h = 1..5 that the lattice-drop decision rejects
-_LATTICE_DROPS = {1: 0, 2: 0, 3: 1, 4: 4, 5: 13}
+_LATTICE_DROPS = {1: 0, 2: 0, 3: 2, 4: 6, 5: 17}
 
 
 def _decided_tuples(h):
-    """The survivors that the span and chord tests keep, split into those
-    the square size rejects, those a vertex drop rejects, those a drop
-    over the lattice points rejects and the ones left, which reach
-    canonical_form."""
+    """The survivors with a span h, split into those the square size
+    rejects, those a vertex drop rejects, those a drop over the lattice
+    points rejects and the ones left, which reach canonical_form."""
     size, drop, lattice, left = [], [], [], []
     for vs in _survivors(h):
-        sides = _sides(vs)
-        X, Y = sides[:2]
-        if (X < h and Y < h) or (len(vs) >= 3 and _has_chord(h, sides)):
+        if max(_spans(vs)) < h:
             continue
         if not _square_size_is(h, vs):
             size.append(vs)
@@ -615,7 +607,7 @@ class TestIntegerDecisions:
                 assert _square_size_is(h, P.vertices) == (ls_square(P) == h), P
 
     @pytest.mark.parametrize("h,size,drop", [
-        (1, 0, 0), (2, 1, 0), (3, 5, 3), (4, 27, 38), (5, 116, 262)])
+        (1, 0, 0), (2, 1, 0), (3, 5, 4), (4, 27, 50), (5, 116, 339)])
     def test_rejections_are_sound(self, h, size, drop):
         # every size rejection is below h and every drop rejection, over
         # the vertices or the lattice points, is not minimal, by ls_square
