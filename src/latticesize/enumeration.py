@@ -313,37 +313,14 @@ def _pin(pins: tuple, forms: tuple, bit: int, size: int) -> tuple | None:
     return tuple(map(max, forms, tops)), soles
 
 
-def _sides(vs: tuple) -> tuple:
-    """The side profile of the vertex tuple vs, both coordinate minima 0:
-    its spans X and Y, then, for the sides x = 0, x = X, y = 0 and y = Y
-    of the box [0, X] x [0, Y] in turn, the least and the greatest other
-    coordinate of its vertices on that side.
-
-    A side meets a strictly convex polygon in one vertex or one edge, so
-    it holds one or two vertices, and they are adjacent in vs.  vs runs
-    counterclockwise from (0, c), the lowest vertex on x = 0, so it goes
-    up x = X and right along y = 0: the first vertex on each of those
-    sides is the lower or the left one, and the next vertex is the other
-    one if it lies on that side too.  It goes left along y = Y, so its
-    first vertex there is the right one and the next is the left one,
-    unless (0, c) lies on y = Y: the other one is then the last vertex,
-    as it is on x = 0.  The same reading holds for a point and for a
-    segment, whose two vertices are adjacent both ways round.
-    """
-    xs, ys = zip(*vs)
-    X, Y = max(xs), max(ys)
-    k = len(vs)
-    i, j, m = xs.index(X), ys.index(0), ys.index(Y)
-    if m:
-        top_hi = xs[m]
-        top_lo = xs[m + 1] if m + 1 < k and ys[m + 1] == Y else top_hi
-    else:
-        top_lo, top_hi = 0, xs[-1] if ys[-1] == Y else 0
-    return (X, Y,
-            ys[0], ys[-1] if not xs[-1] else ys[0],
-            ys[i], ys[i + 1] if i + 1 < k and xs[i + 1] == X else ys[i],
-            xs[j], xs[j + 1] if j + 1 < k and not ys[j + 1] else xs[j],
-            top_lo, top_hi)
+def _image(vs: tuple, X: int, Y: int, symmetry: tuple) -> tuple:
+    """The canonical vertex tuple of the image of vs under the symmetry
+    (swap, fx, fy) of the box [0, X] x [0, Y], as in _SYMMETRIES: the
+    axes swapped, then x mirrored in the image's box, then y."""
+    swap, fx, fy = symmetry
+    if swap:
+        vs, X, Y = [(y, x) for x, y in vs], Y, X
+    return _cycle([(X - x if fx else x, Y - y if fy else y) for x, y in vs], swap ^ fx ^ fy)
 
 
 def _has_smaller_image(vs: tuple) -> bool:
@@ -353,26 +330,27 @@ def _has_smaller_image(vs: tuple) -> bool:
     same polygon, so vs is then not its canonical form, the least one.
 
     vs starts at (0, c), c the least y on x = 0, and an image starts at
-    (0, c') with c' read off the profile: the side the image's x = 0
-    comes from, x = 0 or x = X, or with the swap y = 0 or y = Y, holds
-    the vertices whose other coordinate gives c' as its minimum, or as
-    the span minus its maximum when the image mirrors that coordinate.
-    An image with c' < c is smaller and one with c' > c is larger, so
-    only one with c' = c is built and compared in full.
+    (0, c'), c' the least second coordinate of its vertices on its side
+    x = 0.  That side comes from x = 0 or x = X of the box [0, X] x [0, Y],
+    or with the swap from y = 0 or y = Y, so c' is the least other
+    coordinate of the vertices there, or the span less the greatest when
+    the image mirrors that coordinate.  An image with c' < c is smaller
+    and one with c' > c is larger, so only one with c' = c is built and
+    compared in full.
     """
-    X, Y, c, left_hi, right_lo, right_hi, bottom_lo, bottom_hi, top_lo, top_hi = _sides(vs)
-    # c' of each image, in _SYMMETRIES order
-    firsts = (Y - left_hi, right_lo, Y - right_hi, bottom_lo, X - bottom_hi, top_lo, X - top_hi)
-    if min(firsts) < c:
-        return True
     xs, ys = zip(*vs)
-    for first, (swap, fx, fy) in zip(firsts, _SYMMETRIES):
-        if first == c:
-            a, b, A, B = (ys, xs, Y, X) if swap else (xs, ys, X, Y)
-            image = zip([A - s for s in a] if fx else a, [B - t for t in b] if fy else b)
-            if _cycle(list(image), swap ^ fx ^ fy) < vs:
-                return True
-    return False
+    X, Y = max(xs), max(ys)
+    left = [y for x, y in vs if not x]
+    right = [y for x, y in vs if x == X]
+    bottom = [x for x, y in vs if not y]
+    top = [x for x, y in vs if y == Y]
+    # c' of each image, in _SYMMETRIES order
+    firsts = (Y - max(left), min(right), Y - max(right), min(bottom), X - max(bottom),
+              min(top), X - max(top))
+    c = vs[0][1]
+    return min(firsts) < c or any(
+        first == c and _image(vs, X, Y, symmetry) < vs
+        for first, symmetry in zip(firsts, _SYMMETRIES))
 
 
 def enumerate_classes(n: int, include_degenerate: bool = False,

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .enumeration import _Grid, _has_smaller_image, map_polygons
+from .enumeration import _SYMMETRIES, _Grid, _has_smaller_image, _image, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import ConvexPolygon, Point, hull, lattice_points
 from .oracle import canonical_form
@@ -132,14 +132,10 @@ def _class_key(P: ConvexPolygon):
     return (len(P.vertices), P.vertices)
 
 
-def _box_orbit(h: int, vs) -> tuple:
-    """The least sorted vertex list among the images of vs under the 8
-    symmetries of the box [0, h]^2."""
-    images = []
-    for fx, fy in itertools.product((False, True), repeat=2):
-        image = [(h - x if fx else x, h - y if fy else y) for x, y in vs]
-        images += [tuple(sorted(image)), tuple(sorted((y, x) for x, y in image))]
-    return min(images)
+def _box_orbit(h: int, vs: tuple) -> tuple:
+    """The least canonical vertex tuple among vs and its images under the
+    7 other symmetries of the box [0, h]^2 (see enumeration._image)."""
+    return min(vs, *(_image(vs, h, h, symmetry) for symmetry in _SYMMETRIES))
 
 
 def generate_minimal(h: int) -> list[ConvexPolygon]:

@@ -181,6 +181,9 @@ class TestGeneration:
         counts = [1, 2, 4, 8, 17, 32, 60, 102, 169, 262, 396, 572]
         for h, count in enumerate(counts, start=1):
             assert len(_box_orbits(h)) == count
+            # _box_orbit's keys, one per orbit, over the family members
+            assert len({minimal._box_orbit(h, realize(f).vertices)
+                        for f in minimal_families(h)}) == count
             assert len(generate_minimal(h)) == count
 
 
@@ -383,17 +386,23 @@ class TestSweepFilters:
         assert sorted(built) == sorted(lattice + left)
         assert reached == left == [vs for vs in built if is_minimal(hull(vs))]
 
-    def test_profiles_only_square_size_h(self, monkeypatch):
-        # the square-size test comes first, so the side profile is built
-        # for exactly the tuples it keeps: 178 of the 557 at h=4
+    def test_dihedral_filter_sees_only_square_size_h(self, monkeypatch):
+        # the square-size test comes first, so the dihedral filter runs
+        # on exactly the tuples it keeps: 178 of the 557 at h=4.  Building
+        # every image would keep every decision, so only the count of
+        # images built, 233, shows the tie rule: each starts where its
+        # tuple does, at (0, c)
         h = 4
-        profiled = []
-        sides = enumeration._sides
-        monkeypatch.setattr(enumeration, "_sides", lambda vs: profiled.append(vs) or sides(vs))
+        filtered, built = [], []
+        image = enumeration._image
+        monkeypatch.setattr(minimal, "_has_smaller_image",
+                            lambda vs: filtered.append(vs) or _has_smaller_image(vs))
+        monkeypatch.setattr(enumeration, "_image", lambda *args: built.append(args) or image(*args))
         for vs in _sweep_chains(h):
             _sweep_one(h, vs)
-        assert profiled == [vs for vs in _sweep_chains(h) if _square_size_is(h, vs)]
-        assert len(profiled) == 178
+        assert filtered == [vs for vs in _sweep_chains(h) if _square_size_is(h, vs)]
+        assert (len(filtered), len(built)) == (178, 233)
+        assert all(image(vs, *rest)[0] == vs[0] for vs, *rest in built)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_pair_rejections_are_not_minimal(self, h):
@@ -434,11 +443,14 @@ class TestSweepFilters:
             assert _sweep_one(h, vs) is None
             assert len(reached) == (not rejected), vs
 
-    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6])
     def test_dihedral_filter_matches_reference(self, h):
-        # 18,019 tuples at h=4; the 178,028 at h=5 agree too, outside Tier-1
+        # every anchored tuple up to h=4, 18,019 there (the 178,028 at h=5
+        # agree too, outside Tier-1), then the sweep's tuples, 2,650 at
+        # h=5 and 11,250 at h=6
+        chains = _anchored_chains(h) if h <= 4 else _sweep_chains(h)
         assert all(_has_smaller_image(vs) == _reference_has_smaller_image(vs)
-                   for vs in _anchored_chains(h))
+                   for vs in chains)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_dihedral_rejections_are_not_canonical(self, h):
