@@ -305,10 +305,12 @@ def _pin(pins: tuple, forms: tuple, bit: int, size: int) -> tuple | None:
     forms, its greatest value over the chain and the bit of the one point
     that attains it, or 0 if two do, as two sequences; pins are those of
     the first size - 1 points, and the last point has bit bit and form
-    values forms."""
+    values forms.  Each sole is one bit or 0, so their union has one bit
+    per pinned point."""
     tops, soles = pins
     soles = [bit if f > top else sole if f < top else 0 for f, top, sole in zip(forms, tops, soles)]
-    if len({0, *soles}) <= size:
+    if (soles[0] | soles[1] | soles[2] | soles[3] | soles[4] | soles[5] | soles[6]
+            | soles[7]).bit_count() < size:
         return None
     return tuple(map(max, forms, tops)), soles
 

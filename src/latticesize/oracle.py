@@ -4,7 +4,10 @@ The key fact making brute force sound: any unimodular image fitting a
 dilate d of either target has both row widths at most d.  The fast path
 always yields a valid certificate, so searching unimodular pairs of
 directions no wider than that certificate's dilate provably covers every
-map that could do at least as well.
+map that could do at least as well.  The triangle search reads each
+pair's four flip dilates off the stored extremes of the scanned rows,
+and both searches skip a pair whose larger row width is already no
+better than the best value so far (brute_force_lattice_size).
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from .geometry import (
     hull,
 )
 from .reduction import LatticeBasis
-from .size import _MEMO, _report, flip_dilates, ls_square
+from .size import _MEMO, _report, ls_square
 
 
 def candidate_directions(P: ConvexPolygon, cap, basis: LatticeBasis) -> list[IntVec]:
@@ -111,6 +114,22 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     rational polygon is searched as its integer multiple D*P, whose
     dilates are D times those of P.  Both searches read one memoized scan
     of P's directions (_scan), so a query reduces and scans P once.
+
+    The triangle search reads the four flip dilates of a pair (u, v) off
+    the stored extremes (lo, hi) of the rows u, v, u+v and u-v, in the
+    order of flip_dilates: hi(u+v) - lo_u - lo_v, hi_u + hi_v - lo(u+v),
+    hi_v - lo_u + hi(u-v) and hi_u - lo_v - lo(u-v).  The scan holds one
+    sign of each direction; the other has extremes -hi and -lo.  A flip
+    whose u+v or u-v the scan lacks is skipped: its dilate is at least
+    that direction's width, as lo(u+v) >= lo_u + lo_v and so on, and the
+    scan lacks only directions wider than the cap.  The cap is attained,
+    by the reduced basis and the flip its certificate chose, whose u+v
+    or u-v is then within the cap, so a skipped flip is never the least.
+
+    Every flip dilate d of a pair is at least both row widths, because
+    the flipped image lies in d*T, inside [0, d]^2; the square value is
+    the larger of the two.  Both searches therefore skip a pair whose
+    larger row width is at least the best value so far.
     """
     if P.dim != 2:
         raise DegenerateInputError("exhaustive search needs a full-dimensional polygon")
@@ -119,15 +138,30 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     D, rows, square_rows = _scan(P)
     if target == SQUARE:
         rows = square_rows
+    else:
+        ends = {}   # (lo, hi) of each scanned direction, under both signs
+        for (a, b), _, lo, hi in rows:
+            ends[a, b] = lo, hi
+            ends[-a, -b] = -hi, -lo
     best = None
-    for i, (u, du, lo_u, hi_u) in enumerate(rows):
-        for v, dv, lo_v, hi_v in rows[i + 1:]:
+    for i, (u, _, lo_u, hi_u) in enumerate(rows):
+        for v, _, lo_v, hi_v in rows[i + 1:]:
             if u[0] * v[1] - u[1] * v[0] not in (1, -1):
                 continue
-            if target == SQUARE:
-                value = max(hi_u - lo_u, hi_v - lo_v)
-            else:
-                value = min(flip_dilates(du, dv))
+            value = max(hi_u - lo_u, hi_v - lo_v)
+            if best is not None and value >= best:
+                continue
+            if target == SIMPLEX:
+                flips = []
+                s = ends.get((u[0] + v[0], u[1] + v[1]))
+                if s:
+                    flips += (s[1] - lo_u - lo_v, hi_u + hi_v - s[0])
+                d = ends.get((u[0] - v[0], u[1] - v[1]))
+                if d:
+                    flips += (hi_v - lo_u + d[1], hi_u - lo_v - d[0])
+                if not flips:
+                    continue
+                value = min(flips)
             if best is None or value < best:
                 best = value
     assert best is not None  # the reduced basis itself is always searched
@@ -144,13 +178,14 @@ def _scan(P: ConvexPolygon) -> tuple:
     products of u with D*P's vertices and lo, hi their extremes, so u's
     width is hi - lo.
 
-    The triangle search takes every entry, and the square search and the
-    canonical form take square_rows, the entries no wider than
-    D*ls_square(P), which are exactly candidate_directions(D*P,
-    D*ls_square(P), basis) in the same order: ls_square <= ls_simplex,
-    as l*T lies in [0, l]^2 for the standard triangle T, so every
-    direction within the square cap is within the triangle cap too, and
-    a filter keeps the scan's sorted order.
+    The triangle search takes every entry, reading its flip dilates off
+    the stored extremes, and the square search and the canonical form
+    take square_rows, the entries no wider than D*ls_square(P), which are
+    exactly candidate_directions(D*P, D*ls_square(P), basis) in the same
+    order: ls_square <= ls_simplex, as l*T lies in [0, l]^2 for the
+    standard triangle T, so every direction within the square cap is
+    within the triangle cap too, and a filter keeps the scan's sorted
+    order.
     """
     report = _report(P)
     D, S = _scaled(P)

@@ -4,7 +4,10 @@ invariants, brute_force_lattice_size, check_bounds and canonical_form
 measure a rational polygon P as its integer multiple D*P.  The references
 below are the direct computations on P itself: basis reduction, widths,
 the direction search and the hull-built images, all in Fraction
-arithmetic.
+arithmetic.  The direction search's reference, which takes each pair's
+flip dilates from flip_dilates over its dot products, also checks the
+search on lattice polygons, whose flip dilates the search reads off the
+scanned extremes.
 """
 import math
 import random
@@ -24,6 +27,7 @@ from latticesize import (
     brute_force_lattice_size,
     canonical_form,
     check_bounds,
+    enumerate_convex,
     gauss_reduce,
     hull,
     invariants,
@@ -33,9 +37,9 @@ from latticesize import (
     width_extremal_triangle,
 )
 from latticesize.geometry import _norm, _scaled
-from latticesize.oracle import candidate_directions
+from latticesize.oracle import _scan, candidate_directions
 from latticesize.size import flip_dilates, simplex_dilates
-from conftest import random_unimodular
+from conftest import random_lattice_polygon, random_shear, random_unimodular
 
 
 def _coord(rng):
@@ -103,6 +107,23 @@ def _ref_search(P, target):
                 else:
                     values.append(min(flip_dilates(dots[u], dots[v])))
     return min(values)
+
+
+def _disagreements(polygons):
+    """How many of the two searches over the full-dimensional polygons
+    differ from _ref_search."""
+    return sum(brute_force_lattice_size(P, target) != _ref_search(P, target)
+               for P in polygons for target in (SQUARE, SIMPLEX))
+
+
+def _audit_triangle_search(n):
+    """Both brute-force searches over the full-dimensional polygons of
+    enumerate_convex(n) checked against _ref_search: (polygons,
+    disagreements).  Outside the tests, run it as
+    PYTHONPATH=src:tests python -c "import test_rational as t; print(t._audit_triangle_search(4))"
+    """
+    full = [P for P in enumerate_convex(n) if P.dim == 2]
+    return len(full), _disagreements(full)
 
 
 def _ref_canonical(P):
@@ -179,6 +200,37 @@ def test_search_matches_fraction_reference(chunk):
             got = brute_force_lattice_size(P, target)
             assert got == _ref_search(P, target), (P, target)
             _assert_int_when_integral(got)
+
+
+def test_search_matches_reference_on_small_grid():
+    assert _audit_triangle_search(3) == (2719, 0)
+
+
+def test_search_matches_reference_on_sheared_lattice_polygons():
+    rng = random.Random(25)
+    sheared = [random_shear(rng, random_lattice_polygon(rng)) for _ in range(200)]
+    assert _disagreements(sheared) == 0
+
+
+def test_triangle_search_skips_flips_outside_the_scan(corpus3):
+    # the scan lacks u+v, or u-v, of many unimodular pairs, whose two
+    # flips through it the triangle search then skips; no pair lacks both
+    pairs = no_sum = no_dif = neither = 0
+    for P in corpus3:
+        if P.dim < 2:
+            continue
+        dirs = [u for u, *_ in _scan(P)[1]]
+        scanned = {*dirs, *((-a, -b) for a, b in dirs)}
+        for i, u in enumerate(dirs):
+            for v in dirs[i + 1:]:
+                if u[0] * v[1] - u[1] * v[0] in (1, -1):
+                    pairs += 1
+                    sum_in = (u[0] + v[0], u[1] + v[1]) in scanned
+                    dif_in = (u[0] - v[0], u[1] - v[1]) in scanned
+                    no_sum += not sum_in
+                    no_dif += not dif_in
+                    neither += not (sum_in or dif_in)
+    assert (pairs, no_sum, no_dif, neither) == (12863, 7791, 2719, 0)
 
 
 @pytest.mark.parametrize("chunk", range(3))
