@@ -4,10 +4,11 @@ The key fact making brute force sound: any unimodular image fitting a
 dilate d of either target has both row widths at most d.  The fast path
 always yields a valid certificate, so searching unimodular pairs of
 directions no wider than that certificate's dilate provably covers every
-map that could do at least as well.  The triangle search reads each
-pair's four flip dilates off the stored extremes of the scanned rows,
-and both searches skip a pair whose larger row width is already no
-better than the best value so far (brute_force_lattice_size).
+map that could do at least as well.  The triangle search reads two flip
+dilates of each unimodular pair whose sum the scan holds, off the stored
+extremes of the three rows, and both searches skip a pair whose larger
+row width is already no better than the best value so far
+(brute_force_lattice_size).
 """
 from __future__ import annotations
 
@@ -115,16 +116,21 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     dilates are D times those of P.  Both searches read one memoized scan
     of P's directions (_scan), so a query reduces and scans P once.
 
-    The triangle search reads the four flip dilates of a pair (u, v) off
-    the stored extremes (lo, hi) of the rows u, v, u+v and u-v, in the
-    order of flip_dilates: hi(u+v) - lo_u - lo_v, hi_u + hi_v - lo(u+v),
-    hi_v - lo_u + hi(u-v) and hi_u - lo_v - lo(u-v).  The scan holds one
-    sign of each direction; the other has extremes -hi and -lo.  A flip
-    whose u+v or u-v the scan lacks is skipped: its dilate is at least
-    that direction's width, as lo(u+v) >= lo_u + lo_v and so on, and the
-    scan lacks only directions wider than the cap.  The cap is attained,
-    by the reduced basis and the flip its certificate chose, whose u+v
-    or u-v is then within the cap, so a skipped flip is never the least.
+    The triangle search reads only the unimodular pairs (u, v) whose u+v
+    the scan holds, and of each the dilates hi(u+v) - lo_u - lo_v and
+    hi_u + hi_v - lo(u+v), the first two of flip_dilates, off the stored
+    extremes (lo, hi) of the three rows.  Each flip dilate of a pair is
+    -(lo_a + lo_b + lo_c) for three pairwise unimodular directions with
+    a + b + c = 0.  A sum of two directions in the scan's signs (first
+    coordinate positive, or zero with the second positive) is again in
+    them, so up to sign one direction of each such triple is the sum of
+    the other two: the u-v flips of (u, v) are the u+v flips of (v, u-v)
+    or of (u, v-u).  The least flip dilate d is at most the cap, which the
+    reduced basis and the flip its certificate chose attain, and its
+    triple has all three widths at most d, as d*T lies in [0, d]^2 and
+    x + y ranges in [0, d] on it; so its two summands are a scanned
+    unimodular pair whose sum the scan holds.  The determinant test
+    stays: (1, 0), (1, 3) and (2, 3) are primitive, with det 3.
 
     Every flip dilate d of a pair is at least both row widths, because
     the flipped image lies in d*T, inside [0, d]^2; the square value is
@@ -139,10 +145,7 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     if target == SQUARE:
         rows = square_rows
     else:
-        ends = {}   # (lo, hi) of each scanned direction, under both signs
-        for (a, b), _, lo, hi in rows:
-            ends[a, b] = lo, hi
-            ends[-a, -b] = -hi, -lo
+        ends = {u: (lo, hi) for u, _, lo, hi in rows}
     best = None
     for i, (u, _, lo_u, hi_u) in enumerate(rows):
         for v, _, lo_v, hi_v in rows[i + 1:]:
@@ -152,19 +155,13 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
             if best is not None and value >= best:
                 continue
             if target == SIMPLEX:
-                flips = []
                 s = ends.get((u[0] + v[0], u[1] + v[1]))
-                if s:
-                    flips += (s[1] - lo_u - lo_v, hi_u + hi_v - s[0])
-                d = ends.get((u[0] - v[0], u[1] - v[1]))
-                if d:
-                    flips += (hi_v - lo_u + d[1], hi_u - lo_v - d[0])
-                if not flips:
+                if s is None:
                     continue
-                value = min(flips)
+                value = min(s[1] - lo_u - lo_v, hi_u + hi_v - s[0])
             if best is None or value < best:
                 best = value
-    assert best is not None  # the reduced basis itself is always searched
+    assert best is not None  # the certificate of the cap is always searched
     return _unscaled(best, D)
 
 
@@ -178,8 +175,9 @@ def _scan(P: ConvexPolygon) -> tuple:
     products of u with D*P's vertices and lo, hi their extremes, so u's
     width is hi - lo.
 
-    The triangle search takes every entry, reading its flip dilates off
-    the stored extremes, and the square search and the canonical form
+    The triangle search takes every entry, reading the flip dilates of
+    each unimodular pair whose sum the scan holds off the stored extremes
+    of the pair and the sum, and the square search and the canonical form
     take square_rows, the entries no wider than D*ls_square(P), which are
     exactly candidate_directions(D*P, D*ls_square(P), basis) in the same
     order: ls_square <= ls_simplex, as l*T lies in [0, l]^2 for the

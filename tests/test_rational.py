@@ -5,9 +5,9 @@ measure a rational polygon P as its integer multiple D*P.  The references
 below are the direct computations on P itself: basis reduction, widths,
 the direction search and the hull-built images, all in Fraction
 arithmetic.  The direction search's reference, which takes each pair's
-flip dilates from flip_dilates over its dot products, also checks the
-search on lattice polygons, whose flip dilates the search reads off the
-scanned extremes.
+four flip dilates from flip_dilates over its dot products, also checks
+the search on lattice polygons, where it reads only the pairs whose sum
+it scanned and their two flip dilates through that sum.
 """
 import math
 import random
@@ -212,25 +212,32 @@ def test_search_matches_reference_on_sheared_lattice_polygons():
     assert _disagreements(sheared) == 0
 
 
-def test_triangle_search_skips_flips_outside_the_scan(corpus3):
-    # the scan lacks u+v, or u-v, of many unimodular pairs, whose two
-    # flips through it the triangle search then skips; no pair lacks both
-    pairs = no_sum = no_dif = neither = 0
+def test_triangle_search_reads_only_pairs_whose_sum_is_scanned(corpus3):
+    # the u-v flips of a unimodular pair (u, v) are the u+v flips of
+    # (v, u-v) or of (u, v-u), whichever the scan's signs hold, so the
+    # triangle search skips every pair whose u+v the scan lacks
+    pairs = with_sum = with_dif = 0
     for P in corpus3:
         if P.dim < 2:
             continue
-        dirs = [u for u, *_ in _scan(P)[1]]
-        scanned = {*dirs, *((-a, -b) for a, b in dirs)}
+        dots = {u: row for u, row, _, _ in _scan(P)[1]}
+        dirs = list(dots)
         for i, u in enumerate(dirs):
             for v in dirs[i + 1:]:
-                if u[0] * v[1] - u[1] * v[0] in (1, -1):
-                    pairs += 1
-                    sum_in = (u[0] + v[0], u[1] + v[1]) in scanned
-                    dif_in = (u[0] - v[0], u[1] - v[1]) in scanned
-                    no_sum += not sum_in
-                    no_dif += not dif_in
-                    neither += not (sum_in or dif_in)
-    assert (pairs, no_sum, no_dif, neither) == (12863, 7791, 2719, 0)
+                if u[0] * v[1] - u[1] * v[0] not in (1, -1):
+                    continue
+                pairs += 1
+                with_sum += (u[0] + v[0], u[1] + v[1]) in dots
+                dif = (u[0] - v[0], u[1] - v[1])
+                if dif in dots:
+                    flips = flip_dilates(dots[v], dots[dif])
+                elif (-dif[0], -dif[1]) in dots:
+                    flips = flip_dilates(dots[u], dots[-dif[0], -dif[1]])
+                else:
+                    continue
+                with_dif += 1
+                assert {*flip_dilates(dots[u], dots[v])[2:]} == {*flips[:2]}, (P, u, v)
+    assert (pairs, with_sum, with_dif) == (12863, 5072, 10144)
 
 
 @pytest.mark.parametrize("chunk", range(3))
