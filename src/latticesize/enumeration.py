@@ -12,9 +12,10 @@ the vertex tuples of the polygons whose coordinate minima are both 0
 enumerate_classes and the minimal sweep.  For that sweep, _chains' sweep
 option also cuts every chain that holds a segment of lattice length at
 least the grid size, a point on the box's sides that gives a dihedral
-image a lower first vertex, or an unpinned vertex, before it is grown
-further, and the walk splits by start so that the sweep can spread its
-starts over workers.
+image a lower first vertex, or an unpinned vertex, read off the
+directions of its edges, before it is grown further; it cuts or skips
+the chains whose spans rule out the square size, and the walk splits by
+start so that the sweep can spread its starts over workers.
 map_polygons maps a function over polygons or starts, in this process
 or over a worker pool.
 """
@@ -114,15 +115,78 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
       mirror y (no chain takes a point below v0 there).  When c > n - c,
       v0 itself is such a point, and nothing grows from it.
     - pinned rule: every chain with an unpinned vertex, one that is the
-      only greatest point of none of the 8 forms of _Grid.forms over the
-      chain (see verify_classification for why no polygon grown from it
-      is minimal of square size h).  A chain carries each form's greatest
-      value and its sole attainer (_grow's `pins`); points and segments
-      are always pinned.
+      only greatest point of none of the 8 forms +-x, +-y, +-(x + y),
+      +-(x - y) over the chain (see verify_classification for why no
+      polygon grown from it is minimal of square size h).  Points and
+      segments are always pinned.  Closed back to v0, a chain of three
+      or more points is a strictly convex polygon, counterclockwise.  A
+      vertex c with in-edge direction d and out-edge direction e is the
+      only greatest point of p -> u . p exactly when u lies strictly
+      inside c's normal cone, the open angle between the outward normals
+      of its two edges: the left turn from d to e, less than a half
+      turn, rotated by -90 degrees.  That rotation maps the 8 forms'
+      directions, the compass rays, onto themselves, so c is pinned
+      exactly when a compass ray lies strictly inside the turn from d to
+      e.  With d in sector a and e in sector b (_sector), the first ray
+      after d is sector a + 2 when a is a ray and a + 1 when a is an
+      octant, and it lies strictly inside the turn exactly when e lies
+      beyond it: (b - a) % 16 >= 3 - (a & 1), as the turn is less than a
+      half turn (_PINNED).  Adding w after the last point c changes the
+      neighbours of three vertices only, and each is tested on two
+      sectors: c, whose edges b -> c and c -> w are final, by
+      _Grid.fill, which drops such a w from successors; w, between
+      c -> w and the closing edge w -> v0, by the start's ends; and v0,
+      between w -> v0 and its first edge, by the start's banned set (see
+      _Grid.close).  A vertex unpinned in a chain stays unpinned in every
+      chain grown from it, so a chain is cut at its first unpinned
+      vertex.
+
+    The sweep's walk is anchored, and a chain also carries its greatest
+    x and y (_grow's top_x and top_y).  Its first point has x = 0 and it
+    is yielded only once it reaches y = 0, so at a yield these are its
+    two spans, and _sweep_one's size decision rejects a tuple whose
+    spans rule out square size h (see verify_classification).  Three
+    decisions read them:
+
+    - cut A, fixed extremes: edges heading backward (lexicographically)
+      have angles in (90, 270] degrees and come last (_Grid.fill), so
+      after an edge heading backward and down, with an angle in
+      (180, 270], every later edge turns left within (180, 270]: it heads
+      down with x not increasing.  The chain's maxima are then final,
+      and if both are below h every tuple grown from it fails the size
+      decision, so it is neither yielded nor grown.
+    - cut B, box pins: once both maxima are h they are final, as the
+      grid is [0, h]^2.  A vertex that is the only greatest point of
+      none of x, -x, y and -y over the chain (_box_pinned) stays so as
+      points are added, and dropping it from a tuple grown from the
+      chain keeps both spans h, hence square size h, so the drop
+      decision rejects the tuple.  Such a chain is neither yielded nor
+      grown, and as each of the 4 forms has at most one only greatest
+      point, a chain with both maxima h keeps at most 4 points.
+    - yield test: _grow yields a chain only when it has square size h:
+      both maxima h, or one of them h and both shear widths, along
+      (1, 1) and (1, -1), at least h (_shears_reach), which are computed
+      only then.  It grows the chain all the same.  The lone point and
+      the segments of a start (v0,) are yielded without it.
     """
     grid = _Grid(n, anchored, sweep)
     for start in grid.starts():
         yield from grid.chains(start)
+
+
+def _sector(dx: int, dy: int) -> int:
+    """The sector of the nonzero direction (dx, dy) among 16: 2k for the
+    compass ray at k * 45 degrees, 2k + 1 for the open octant between
+    that ray and the next one counterclockwise."""
+    quarter = 0
+    while dx <= 0 or dy < 0:  # outside [0, 90) degrees: turn by -90 degrees
+        dx, dy, quarter = dy, -dx, quarter + 4
+    return quarter + (0 if not dy else 1 if dy < dx else 2 if dy == dx else 3)
+
+
+# _PINNED[a * 16 + b]: whether a compass ray lies strictly inside the
+# left turn from a direction of sector a to one of sector b
+_PINNED = tuple((b - a) % 16 >= 3 - (a & 1) for a in range(16) for b in range(16))
 
 
 class _Grid:
@@ -132,15 +196,17 @@ class _Grid:
     order, and a point's index i there is its bit 1 << i in a point set
     held as an int.  far[i] is the set of points that span a segment of
     lattice length at least n with point i, in the sweep's mode, and
-    empty otherwise.  forms[i] holds the values at point i of the pinned
-    rule's 8 forms x, -x, y, -y, x + y, -x - y, x - y and y - x (see
-    _chains).  successors[b * len(points) + c] is filled on first use
-    with the points w that follow the edge from point b to point c (see
-    _grow), each as (w, its two coordinates, its bit, its far set, the
-    index of the edge c -> w, its forms), in grid order.  Nothing is kept
-    from one walk to the next in this process; a grid sent to a worker
-    process is rebuilt there through _shared_grid, so the worker keeps
-    its tables across the starts it runs.
+    empty otherwise.  successors[b * len(points) + c] is filled on first
+    use with the points w that follow the edge from point b to point c
+    (see _grow), each as (w, its two coordinates, its bit, its far set,
+    the index of the edge c -> w, the sector of c -> w), in grid order.
+    In the sweep's mode only, sectors[diff(dx, dy)] is the _sector of
+    each nonzero difference of two grid points, and closing[i] is filled
+    on first use with the pinned rule's masks for chains from point i
+    (see close); outside it no sector is computed, and each successor's
+    is 0.  Nothing is kept from one walk to the next in this process; a
+    grid sent to a worker process is rebuilt there through _shared_grid,
+    so the worker keeps its tables across the starts it runs.
     """
 
     def __init__(self, n: int, anchored: bool, sweep: bool) -> None:
@@ -148,11 +214,17 @@ class _Grid:
         self.points = points = [(x, y) for x in range(n + 1) for y in range(n + 1)]
         self.far = [sum(1 << j for j, (x, y) in enumerate(points) if gcd(x - px, y - py) >= n)
                     if sweep else 0 for px, py in points]
-        self.forms = [(x, -x, y, -y, x + y, -x - y, x - y, y - x) for x, y in points]
         self.successors = [None] * len(points) ** 2
+        self.sectors = [_sector(dx, dy) if dx or dy else None
+                        for dx in range(-n, n + 1) for dy in range(-n, n + 1)] if sweep else []
+        self.closing = [None] * len(points)
 
     def __reduce__(self):
         return _shared_grid, (self.n, self.anchored, self.sweep)
+
+    def diff(self, dx: int, dy: int) -> int:
+        """The index of the difference (dx, dy) in sectors."""
+        return (dx + self.n) * (2 * self.n + 1) + dy + self.n
 
     def _band(self, high: int) -> int:
         """The band prune's set for the start (0, high), empty outside
@@ -187,7 +259,8 @@ class _Grid:
         (and on y = 0 when anchored above it).  From (v0, w), every chain
         grown from that first edge, by _grow, whose banned set holds from
         the start: the points up to v0, the points not strictly left of
-        v0 -> w, the band and the far sets of v0 and w.
+        v0 -> w, the band, the far sets of v0 and w and, in the sweep's
+        mode, the points that leave v0 unpinned (see close).
         """
         points, side = self.points, self.n + 1
         v0 = start[0]
@@ -206,23 +279,54 @@ class _Grid:
         j = w[0] * side + w[1]
         right = sum(1 << k for k, (x, y) in enumerate(points) if fx * (y - y0) - fy * (x - x0) <= 0)
         banned = (1 << i) - 1 | right | band | self.far[i] | self.far[j]
-        pins = _pin((self.forms[i], (1 << i,) * 8), self.forms[j], 1 << j, 2) if self.sweep else ()
-        yield from _grow(self, [v0, w], i * len(points) + j, min(high, w[1]), banned, pins)
+        ends = None
+        if self.sweep:
+            ends, unpins = self.closing[i] or self.close(i)
+            banned |= unpins[self.sectors[self.diff(fx, fy)]]
+        yield from _grow(self, [v0, w], i * len(points) + j, min(high, w[1]), banned, ends,
+                         w[0], max(y0, w[1]))
+
+    def close(self, i: int) -> tuple:
+        """closing[i], built: the pinned rule's two lists of masks for a
+        chain from point i = v0, each indexed by a sector.  ends[s] holds
+        the points w that are unpinned as the chain's last vertex after
+        an edge of sector s.  unpins[s] holds the points w that, as the
+        last vertex, leave v0 unpinned when v0's edge to the next vertex
+        has sector s.  Both read the sector of the closing edge w -> v0
+        (see _chains)."""
+        x0, y0 = self.points[i]
+        back = [0] * 16  # the points w by the sector of w -> v0
+        for k, (x, y) in enumerate(self.points):
+            if k != i:
+                back[self.sectors[self.diff(x0 - x, y0 - y)]] |= 1 << k
+        ends = [sum(back[t] for t in range(16) if not _PINNED[s * 16 + t]) for s in range(16)]
+        unpins = [sum(back[t] for t in range(16) if not _PINNED[t * 16 + s]) for s in range(16)]
+        self.closing[i] = ends, unpins
+        return ends, unpins
 
     def fill(self, edge: int) -> list:
         """successors[edge], built: every grid point w that makes a strict
         left turn at c after the edge b -> c and that does not head
-        forward (lexicographically) from c when b -> c heads backward."""
+        forward (lexicographically) from c when b -> c heads backward; in
+        the sweep's mode, only those after which c is pinned (see
+        _chains)."""
         size = len(self.points)
         b, c = divmod(edge, size)
         (bx, by), (cx, cy) = B, C = self.points[b], self.points[c]
         lx, ly = cx - bx, cy - by
         backward = C < B
+        sectors = self.sectors
+        turn = sectors[self.diff(lx, ly)] * 16 if self.sweep else None
         row = []
         for k, w in enumerate(self.points):
             wx, wy = w
             if lx * (wy - cy) - ly * (wx - cx) > 0 and not (backward and w > C):
-                row.append((w, wx, wy, 1 << k, self.far[k], c * size + k, self.forms[k]))
+                sector = 0
+                if turn is not None:
+                    sector = sectors[self.diff(wx - cx, wy - cy)]
+                    if not _PINNED[turn + sector]:
+                        continue
+                row.append((w, wx, wy, 1 << k, self.far[k], c * size + k, sector))
         self.successors[edge] = row
         return row
 
@@ -238,7 +342,7 @@ def _shared_grid(n: int, anchored: bool, sweep: bool) -> _Grid:
 
 
 def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int,
-          pins: tuple) -> Iterator[tuple]:
+          ends: list | None, top_x: int, top_y: int) -> Iterator[tuple]:
     """Extend a chain of two or more grid points, v0 first, whose last
     edge has index edge in grid.successors, by one more point in all
     valid ways, yielding each polygon so made.
@@ -272,13 +376,17 @@ def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int,
     that does not head down ends the chain, and a kept chain grows on
     but is yielded only if w lies on y = 0 (see _anchored_chains).
 
-    A point of banned ends the chain: it is neither yielded nor grown,
-    and neither is a w after which a point of the chain is unpinned (see
-    _pin).  A kept w adds its far set, the points it spans a long segment
-    with, to the set its extensions get.  Far sets, the band and pins
-    are empty outside the sweep's mode (see _chains), whose prunes hold
-    for every extension of a chain they drop, so no chain the sweep
-    keeps is lost.
+    A point of banned ends the chain: it is neither yielded nor grown.
+    A kept w adds its far set, the points it spans a long segment with,
+    to the set its extensions get.  In the sweep's mode, ends is the
+    ends list of v0 (see _Grid.close) and top_x and top_y are the
+    chain's greatest x and y; then a w unpinned as the last point (its
+    bit in ends[sector of c -> w]) ends the chain, and so do cuts A and
+    B, and the yield test decides the yield (see _chains).  Outside it,
+    ends is None, the maxima are not kept, and far sets and the band are
+    empty.
+    The sweep's prunes and cuts hold for every extension of a chain they
+    drop, so no chain the sweep keeps is lost.
     """
     successors = grid.successors[edge]
     if successors is None:
@@ -286,33 +394,54 @@ def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int,
     x0, y0 = chain[0]
     cx, cy = chain[-1]
     gx, gy = x0 - cx, y0 - cy
-    for w, wx, wy, bit, far, after, forms in successors:
+    h = grid.n
+    for w, wx, wy, bit, far, after, sector in successors:
         if banned & bit or (wx - cx) * gy - (wy - cy) * gx <= 0 or (lowest and wy >= cy):
             continue
-        grown = pins and _pin(pins, forms, bit, len(chain) + 1)
-        if grown is None:
-            continue
-        if not (lowest and wy):
+        keep = not (lowest and wy)
+        if ends is None:
+            X = Y = 0
+        else:
+            if ends[sector] & bit:
+                continue
+            X = wx if wx > top_x else top_x
+            Y = wy if wy > top_y else top_y
+            if X == h == Y:
+                if len(chain) > 3 or not _box_pinned(chain, w):
+                    continue
+            elif X < h and Y < h:
+                if wy < cy and wx <= cx:
+                    continue
+                keep = False
+            elif keep:
+                keep = _shears_reach(h, chain, w)
+        if keep:
             yield (*chain, w)
         chain.append(w)
-        yield from _grow(grid, chain, after, min(lowest, wy), banned | far, grown)
+        yield from _grow(grid, chain, after, min(lowest, wy), banned | far, ends, X, Y)
         chain.pop()
 
 
-def _pin(pins: tuple, forms: tuple, bit: int, size: int) -> tuple | None:
-    """The pins of a chain of size points, or None if one of its points
-    is unpinned (see _chains).  A chain's pins are, for each of the 8
-    forms, its greatest value over the chain and the bit of the one point
-    that attains it, or 0 if two do, as two sequences; pins are those of
-    the first size - 1 points, and the last point has bit bit and form
-    values forms.  Each sole is one bit or 0, so their union has one bit
-    per pinned point."""
-    tops, soles = pins
-    soles = [bit if f > top else sole if f < top else 0 for f, top, sole in zip(forms, tops, soles)]
-    if (soles[0] | soles[1] | soles[2] | soles[3] | soles[4] | soles[5] | soles[6]
-            | soles[7]).bit_count() < size:
-        return None
-    return tuple(map(max, forms, tops)), soles
+def _box_pinned(chain: list, w: tuple) -> bool:
+    """Whether each of the chain's points and w is the only greatest
+    point among them of one of x, -x, y and -y."""
+    points = [*chain, w]
+    soles = set()
+    for values in ([x for x, _ in points], [y for _, y in points]):
+        for t in (min(values), max(values)):
+            if values.count(t) == 1:
+                soles.add(values.index(t))
+    return len(soles) == len(points)
+
+
+def _shears_reach(h: int, chain: list, w: tuple) -> bool:
+    """Whether the chain and w have both shear widths, along (1, 1) and
+    (1, -1), at least h."""
+    sums = [x + y for x, y in chain]
+    diffs = [x - y for x, y in chain]
+    sums.append(w[0] + w[1])
+    diffs.append(w[0] - w[1])
+    return max(sums) - min(sums) >= h and max(diffs) - min(diffs) >= h
 
 
 def _image(vs: tuple, X: int, Y: int, symmetry: tuple) -> tuple:

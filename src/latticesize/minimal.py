@@ -243,8 +243,9 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     minimal polygon of square size h, and it decides minimality exactly
     for every polygon it keeps, so its class set is the full grid's.  C
     has both coordinate minima 0, so it is a tuple of _anchored_chains(h).
-    Three prunes cut whole chains in the generator, _chains(h,
-    anchored=True, sweep=True), before a tuple is finished:
+    Three prunes and two cuts stop whole chains in the generator,
+    _chains(h, anchored=True, sweep=True), before a tuple is finished,
+    and a yield test skips single tuples:
 
     - Pair prune: a polygon with at least 3 vertices, two of which differ
       by a vector whose gcd is at least h, is not minimal.  Dropping a
@@ -264,8 +265,25 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       _square_size_is reads only those (the two spans and the two shear
       widths), so it gives the same answer for vs without v as for vs:
       either vs has square size other than h and the size decision
-      rejects it, or the drop decision does.  Only tuples _sweep_one
-      rejects are cut.
+      rejects it, or the drop decision does.  The generator reads the
+      rule off edge directions: in a strictly convex polygon a vertex is
+      pinned exactly when a compass ray lies strictly inside the left
+      turn from its in-edge to its out-edge, one lookup in a table of 16
+      direction sectors (see _chains for the proof).
+    - Cut A, fixed extremes: once a chain's last edge heads backward
+      (lexicographically) and down, its greatest x and y are final, the
+      spans of every tuple grown from it.  If both are below h, every
+      such tuple fails the size decision.
+    - Cut B, box pins: once a chain's greatest x and y are both h, a
+      vertex that is the only greatest point of none of x, -x, y and -y
+      stays so in every tuple grown from it, and dropping it keeps both
+      spans h: the drop has square size h, and the drop decision
+      rejects the tuple.
+    - Yield test: a tuple is yielded only when its spans and, with one
+      span h, its shear widths give square size h, as the size decision
+      below asks; _sweep_one still decides the size on its own.
+
+    Each cuts only tuples _sweep_one rejects.
 
     _sweep_one then makes three decisions on each tuple's integers before
     any polygon is built, and a fourth on the lattice points of the

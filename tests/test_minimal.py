@@ -291,18 +291,38 @@ def _holds_band_point(h, vs):
                for x, y in vs)
 
 
-def _has_unpinned_vertex(vs):
-    """Whether some vertex of vs is the only maximiser of none of the 8
-    forms +-x, +-y, +-(x + y), +-(x - y), with each form's maximisers
-    listed: the reference for the pinned rule of the sweep's generator."""
+# the directions of the forms x, -x, y, -y, x + y, -x - y, x - y and y - x
+_COMPASS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def _has_unpinned_vertex(vs, directions=_COMPASS):
+    """Whether some vertex of vs is the only maximiser of none of the
+    forms p -> u . p, u in directions, with each form's maximisers
+    listed: for the 8 forms +-x, +-y, +-(x + y), +-(x - y), the
+    reference for the pinned rule of the sweep's generator."""
     pinned = set()
-    for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)):
+    for a, b in directions:
         values = [a * x + b * y for x, y in vs]
         top = max(values)
         maximisers = [v for v, t in zip(vs, values) if t == top]
         if len(maximisers) == 1:
             pinned.add(maximisers[0])
     return len(pinned) < len(vs)
+
+
+def _box_unpinned(h, vs):
+    """Whether vs has both spans h and a vertex that is the only maximiser
+    of none of x, -x, y and -y: the reference for cut B of the sweep's
+    generator."""
+    return _spans(vs) == (h, h) and _has_unpinned_vertex(vs, _COMPASS[:4])
+
+
+def _yielded(h, vs):
+    """Whether the sweep's generator yields vs by its yield test: a point
+    or segment, or square size h by _square_size_is.  This test holds for
+    every tuple that cut A keeps too, so the tuple lists show cut A only
+    through the chains it does not grow."""
+    return len(vs) <= 2 or _square_size_is(h, vs)
 
 
 def _holds_chord(h, vs):
@@ -336,6 +356,38 @@ def _survivors(h):
     return [vs for vs in _sweep_chains(h) if not _has_smaller_image(vs)]
 
 
+def _uncut_grow(grid, chain, edge, lowest, banned, ends, *tops):
+    """enumeration._grow in the sweep's mode with none of the decisions
+    that read the chain's maxima, cuts A and B and the yield test: the
+    walk with the pair, band and pinned prunes alone."""
+    successors = grid.successors[edge]
+    if successors is None:
+        successors = grid.fill(edge)
+    (x0, y0), (cx, cy) = chain[0], chain[-1]
+    for w, wx, wy, bit, far, after, sector in successors:
+        if (banned & bit or (wx - cx) * (y0 - cy) - (wy - cy) * (x0 - cx) <= 0
+                or (lowest and wy >= cy) or ends[sector] & bit):
+            continue
+        if not (lowest and wy):
+            yield (*chain, w)
+        chain.append(w)
+        yield from _uncut_grow(grid, chain, after, min(lowest, wy), banned | far, ends)
+        chain.pop()
+
+
+def _uncut_chains(h):
+    """The sweep's walk at square size h through _uncut_grow, listed."""
+    with mock.patch.object(enumeration, "_grow", _uncut_grow):
+        return list(_sweep_chains(h))
+
+
+def _uncut_survivors(h):
+    """The tuples of _uncut_chains(h) that the dihedral filter keeps: the
+    tuples _sweep_one decides when no cut pre-empts its size and drop
+    decisions."""
+    return [vs for vs in _uncut_chains(h) if not _has_smaller_image(vs)]
+
+
 def _spans(vs):
     return max(x for x, _ in vs), max(y for _, y in vs)
 
@@ -361,7 +413,7 @@ class TestSweepFilters:
         assert set(report.search_classes) == unfiltered
         assert report.matches
 
-    @pytest.mark.parametrize("h,count", [(1, 3), (2, 9), (3, 38), (4, 176), (5, 823)])
+    @pytest.mark.parametrize("h,count", [(1, 3), (2, 7), (3, 19), (4, 60), (5, 250)])
     def test_survivor_counts(self, h, count):
         # a prune or filter that rejects too little keeps the class set,
         # so only the count of tuples it leaves shows it
@@ -388,9 +440,9 @@ class TestSweepFilters:
 
     def test_dihedral_filter_sees_only_square_size_h(self, monkeypatch):
         # the square-size test comes first, so the dihedral filter runs
-        # on exactly the tuples it keeps: 178 of the 557 at h=4.  Building
+        # on exactly the tuples it keeps: 131 of the 157 at h=4.  Building
         # every image would keep every decision, so only the count of
-        # images built, 233, shows the tie rule: each starts where its
+        # images built, 177, shows the tie rule: each starts where its
         # tuple does, at (0, c)
         h = 4
         filtered, built = [], []
@@ -401,7 +453,7 @@ class TestSweepFilters:
         for vs in _sweep_chains(h):
             _sweep_one(h, vs)
         assert filtered == [vs for vs in _sweep_chains(h) if _square_size_is(h, vs)]
-        assert (len(filtered), len(built)) == (178, 233)
+        assert (len(filtered), len(built)) == (131, 177)
         assert all(image(vs, *rest)[0] == vs[0] for vs, *rest in built)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
@@ -464,20 +516,21 @@ class TestSweepFilters:
 class TestSweepPrunes:
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_prunes_keep_the_filtered_list(self, h):
-        # the unpruned way: every anchored tuple, then the pair, pinned
-        # and dihedral filters as tuple tests
+        # the unpruned way: every anchored tuple, then the pair, pinned,
+        # cut B, yield and dihedral filters as tuple tests
         want = [vs for vs in _anchored_chains(h)
                 if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _has_unpinned_vertex(vs)
-                and not _has_smaller_image(vs)]
+                and not _box_unpinned(h, vs) and _yielded(h, vs) and not _has_smaller_image(vs)]
         assert _survivors(h) == want
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_prunes_drop_exactly_the_pruned_tuples(self, h):
         # the anchored tuples less those with a long pair (3 or more
-        # vertices), a band point or an unpinned vertex, in the same order
+        # vertices), a band point, an unpinned vertex or a vertex cut B
+        # drops, and those the yield test skips, in the same order
         want = [vs for vs in _anchored_chains(h)
                 if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _holds_band_point(h, vs)
-                and not _has_unpinned_vertex(vs)]
+                and not _has_unpinned_vertex(vs) and not _box_unpinned(h, vs) and _yielded(h, vs)]
         assert list(_sweep_chains(h)) == want
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
@@ -495,9 +548,35 @@ class TestSweepPrunes:
         assert all(_sweep_one(h, vs) is None for vs in held)
         assert _audit_pinned(h) == (cut, 0)
 
+    @pytest.mark.parametrize("h,cut", [(2, 5), (3, 63), (4, 400), (5, 1_941), (6, 8_203),
+                                       (7, 30_773)])
+    def test_cut_tuples_are_rejected(self, h, cut):
+        # the tuples cuts A and B and the yield test drop from the walk
+        # with the prunes alone, by the audit; up to h=6 cut A on every
+        # edge heading down, backward or not, drops the same tuples
+        assert _audit_cuts(h) == (cut, 0)
+
+    def test_pinned_lookup_matches_the_definition(self):
+        # every b, c, w of {-3..3}^2 turning strictly left at c: the
+        # lookup on the sectors of c - b and w - c against c being the
+        # only maximiser of one of the 8 forms over the three points
+        square = list(itertools.product(range(-3, 4), repeat=2))
+        turns = 0
+        for (bx, by), (cx, cy), (wx, wy) in itertools.product(square, repeat=3):
+            d, e = (cx - bx, cy - by), (wx - cx, wy - cy)
+            if d[0] * e[1] - d[1] * e[0] <= 0:
+                continue
+            turns += 1
+            pinned = any(u * cx + v * cy > max(u * bx + v * by, u * wx + v * wy)
+                         for u, v in _COMPASS)
+            lookup = enumeration._PINNED[enumeration._sector(*d) * 16 + enumeration._sector(*e)]
+            assert lookup == pinned, (d, e)
+        assert turns
+
     def test_prunes_skip_chains(self, monkeypatch):
         # 18,019 anchored tuples of {0..4}^2 in 18,051 _grow calls
-        # (test_anchored_pruning_skips_chains); the prunes leave 557
+        # (test_anchored_pruning_skips_chains); the prunes and cuts leave
+        # 157 in 464
         grow, calls = enumeration._grow, []
 
         def counted(*args):
@@ -507,20 +586,20 @@ class TestSweepPrunes:
         monkeypatch.setattr(enumeration, "_grow", counted)
         assert sum(1 for _ in _anchored_chains(4)) == 18_019
         unpruned = len(calls)
-        assert sum(1 for _ in _sweep_chains(4)) == 557
-        assert (unpruned, len(calls) - unpruned) == (18_051, 556)
+        assert sum(1 for _ in _sweep_chains(4)) == 157
+        assert (unpruned, len(calls) - unpruned) == (18_051, 464)
 
 
 class TestSpanDecisions:
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_both_spans_h_is_square_size_h(self, h):
-        square = [vs for vs in _survivors(h) if _spans(vs) == (h, h)]
+        square = [vs for vs in _uncut_survivors(h) if _spans(vs) == (h, h)]
         assert square
         assert all(ls_square(hull(vs)) == h for vs in square)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_both_spans_below_h_is_smaller(self, h):
-        small = [vs for vs in _survivors(h) if max(_spans(vs)) < h]
+        small = [vs for vs in _uncut_survivors(h) if max(_spans(vs)) < h]
         assert small
         assert all(ls_square(hull(vs)) < h for vs in small)
 
@@ -530,11 +609,13 @@ _LATTICE_DROPS = {1: 0, 2: 0, 3: 2, 4: 6, 5: 17}
 
 
 def _decided_tuples(h):
-    """The survivors with a span h, split into those the square size
-    rejects, those a vertex drop rejects, those a drop over the lattice
-    points rejects and the ones left, which reach canonical_form."""
+    """The survivors of the walk without cuts with a span h, split into
+    those the square size rejects, those a vertex drop rejects, those a
+    drop over the lattice points rejects and the ones left, which reach
+    canonical_form.  The cuts drop only size and drop rejections, so the
+    last two lists are the sweep's too."""
     size, drop, lattice, left = [], [], [], []
-    for vs in _survivors(h):
+    for vs in _uncut_survivors(h):
         if max(_spans(vs)) < h:
             continue
         if not _square_size_is(h, vs):
@@ -565,24 +646,50 @@ def _audit_rejections(h):
 
 def _audit_pinned(h):
     """The pinned rule of the sweep's generator at square size h checked
-    against the same walk without it: (tuples the rule cuts,
+    against the same walk without it, both without the cuts that read the
+    chain's maxima (_uncut_chains): (tuples the rule cuts,
     disagreements), where a cut tuple disagrees unless it has an unpinned
     vertex, by the reference, and _sweep_one rejects it, and the walk
     with the rule disagrees once more unless it is a subsequence of the
     walk without it.  Outside the tests, run it as
     PYTHONPATH=src:tests python -c "import test_minimal as t; print(t._audit_pinned(7))"
     """
-    # listed before the patch, which a lazy walk would read
-    kept = iter(list(_sweep_chains(h)))
+    kept = iter(_uncut_chains(h))
     head = next(kept, None)
     cut = wrong = 0
-    with mock.patch.object(enumeration, "_pin", lambda pins, *_: pins):
+    # with every turn pinned, no successor is dropped and no point is
+    # banned for the rule
+    with (mock.patch.object(enumeration, "_PINNED", (True,) * 256),
+          mock.patch.object(enumeration, "_grow", _uncut_grow)):
         for vs in _sweep_chains(h):
             if vs == head:
                 head = next(kept, None)
             else:
                 cut += 1
                 wrong += not _has_unpinned_vertex(vs) or _sweep_one(h, vs) is not None
+    return cut, wrong + (head is not None)
+
+
+def _audit_cuts(h):
+    """Cuts A and B and the yield test of the sweep's generator at square
+    size h checked against the same walk without them (_uncut_chains):
+    (tuples they drop, disagreements), where a dropped tuple disagrees
+    unless cut B's reference or a square size other than h drops it and
+    _sweep_one rejects it, and the walk with them disagrees once more
+    unless it is a subsequence of the walk without them.  Outside the
+    tests, run it as
+    PYTHONPATH=src:tests python -c "import test_minimal as t; print(t._audit_cuts(7))"
+    """
+    kept = iter(list(_sweep_chains(h)))
+    head = next(kept, None)
+    cut = wrong = 0
+    for vs in _uncut_chains(h):
+        if vs == head:
+            head = next(kept, None)
+        else:
+            cut += 1
+            wrong += ((_square_size_is(h, vs) and not _box_unpinned(h, vs))
+                      or _sweep_one(h, vs) is not None)
     return cut, wrong + (head is not None)
 
 
