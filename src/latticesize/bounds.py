@@ -24,13 +24,13 @@ polygon before it, so this ends at a minimal M inside P of square size h.
   inclusion, so 2A(P) >= 2A(M).  If the two are equal, P = M, since a
   convex M inside P with the same area is P.
 
-At h = 1 the segment is the only class.  For h = 2..13 every
+At h = 1 the segment is the only class.  For h = 2..14 every
 full-dimensional class has 2A >= 2h - 1 > h, so the bound holds with
 equality only for the thin triangle.  That range is verified: the
-exhaustive sweep (verify_classification) has been run up to h = 13 and
+exhaustive sweep (verify_classification) has been run up to h = 14 and
 finds exactly the family classes, and
 test_square_bound_over_the_minimal_classes checks their areas.  Beyond
-h = 13 the reduction rests on the paper's classification.
+h = 14 the reduction rests on the paper's classification.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .bounds import EqualityFamily, check_bounds
@@ -68,6 +69,16 @@ def _cert_json(cert) -> dict:
     }
 
 
+def _integer(text: str) -> int:
+    """int(text) for a signed integer in ASCII digits, as the polygon
+    text format takes it (geometry._COORD): the argparse type of every
+    numeric flag, and _jobs reads $LATTICESIZE_JOBS with it.  int() alone
+    also takes '1_0', non-ASCII digits and surrounding spaces."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _jobs(args) -> int:
     """The --jobs value, else $LATTICESIZE_JOBS, else 1; read only by
     commands that map over workers."""
@@ -75,8 +86,8 @@ def _jobs(args) -> int:
         return args.jobs
     raw = os.environ.get(_JOBS_ENV, "1")
     try:
-        jobs = int(raw)
-    except ValueError:
+        jobs = _integer(raw)
+    except argparse.ArgumentTypeError:
         jobs = 0
     if jobs < 1:
         raise InvalidInputError(f"{_JOBS_ENV} must be a positive integer, got {raw!r}")
@@ -84,7 +95,7 @@ def _jobs(args) -> int:
 
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_integer, default=None,
                    help="worker processes, capped at the CPU count "
                         f"(default ${_JOBS_ENV} or 1)")
 
@@ -233,10 +244,15 @@ def _cmd_corpus_check(args) -> int:
         })
         if not report.matches:
             failures.append(f"classification mismatch at h={h}")
-        # the sweep decides minimality on lattice points; is_minimal,
-        # which tests every drop through ls_square, checks its classes
-        failures.extend(f"{_poly_line(C)}: class at h={h} is not minimal"
-                        for C in report.search_classes if not is_minimal(C))
+        # the sweep decides square size and minimality on integers; the
+        # reduction checks its classes: is_minimal tests every drop
+        # through ls_square, and invariants reads C's size off the memo
+        # is_minimal filled
+        for C in report.search_classes:
+            if not is_minimal(C):
+                failures.append(f"{_poly_line(C)}: class at h={h} is not minimal")
+            if (size := invariants(C).ls_square) != h:
+                failures.append(f"{_poly_line(C)}: class at h={h} has square size {size}")
     _emit({
         "n": args.n,
         "polygons": count,
@@ -277,31 +293,31 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate",
                        help="stream convex polygons with vertices in {0..n}^2")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--classes", action="store_true",
                    help="one representative per equivalence class")
     p.add_argument("--degenerate", action="store_true",
                    help="include points and segments")
     p.add_argument("--sorted", action="store_true",
                    help="materialize and sort the output lines")
-    p.add_argument("--limit", type=int, default=DEFAULT_GRID_LIMIT,
+    p.add_argument("--limit", type=_integer, default=DEFAULT_GRID_LIMIT,
                    help="grid-size guard (default %(default)s)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("minimal",
                        help="generate or verify the minimal classification")
-    p.add_argument("--h", type=int, required=True, dest="h",
+    p.add_argument("--h", type=_integer, required=True, dest="h",
                    help="the fixed square size")
     p.add_argument("--mode", choices=("generate", "verify"), required=True)
-    p.add_argument("--limit", type=int, default=DEFAULT_CLASSIFY_LIMIT,
+    p.add_argument("--limit", type=_integer, default=DEFAULT_CLASSIFY_LIMIT,
                    help="verification sweep guard (default %(default)s)")
     _add_jobs(p)
     p.set_defaults(func=_cmd_minimal)
 
     p = sub.add_parser("corpus-check",
                        help="oracle agreement, bounds, and classification over {0..n}^2")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=DEFAULT_GRID_LIMIT,
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--limit", type=_integer, default=DEFAULT_GRID_LIMIT,
                    help="grid-size guard (default %(default)s)")
     _add_jobs(p)
     p.set_defaults(func=_cmd_corpus_check)

@@ -14,8 +14,9 @@ option also cuts every chain that holds a segment of lattice length at
 least the grid size, a point on the box's sides that gives a dihedral
 image a lower first vertex, or an unpinned vertex, read off the
 directions of its edges, before it is grown further; it cuts or skips
-the chains whose spans rule out the square size, and the walk splits by
-start so that the sweep can spread its starts over workers.
+the chains whose spans rule out the square size, so that it yields only
+tuples of square size h, and the walk splits by start so that the sweep
+can spread its starts over workers.
 map_polygons maps a function over polygons or starts, in this process
 or over a worker pool.
 """
@@ -94,15 +95,22 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
     The tables the walk reads are built once per call (_Grid).
 
     With sweep too, n is the square size h of verify_classification's
-    sweep, and the anchored chains it would reject on a prefix are not
-    grown; what is left is a subsequence, in the same order.  A chain
-    carries the set of points it may not take (_grow's `banned`):
+    sweep, and the walk yields only the anchored tuples of square size h,
+    less those that a prune or cut below shows cannot be the canonical
+    form of a minimal polygon of square size h; what is left is a
+    subsequence, in the same order.  From a start (v0,) it yields only
+    the segments to the points of far[v0] (the segment rule): a lattice
+    segment's square size is its lattice length, at most h in the grid,
+    and the lone point's is 0.  A chain carries the set of points it may
+    not take (_grow's `banned`):
 
     - pair prune: every point w' with gcd(w' - u) >= h for a vertex u of
-      the chain, which would span a segment of lattice length at least h
-      with u (see verify_classification for why no such polygon of three
-      or more vertices is minimal).  The 2-point chain (v0, w) is still
-      yielded as a segment, and only its growth stops.
+      the chain.  Dropping a third vertex of a polygon that holds u and
+      w' keeps the segment between them, of lattice length at least h,
+      and square size is monotone under inclusion, so the drop keeps
+      square size at least h: no such polygon of three or more vertices
+      is minimal.  The segments (v0, w) to those points are the segment
+      rule's, and no chain grows from them.
     - band prune: for v0 = (0, c), every point on a side of the box
       [0, n]^2 whose coordinate t along that side lies outside
       [c, n - c].  A polygon holding it has a dihedral image whose first
@@ -116,58 +124,61 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
       v0 itself is such a point, and nothing grows from it.
     - pinned rule: every chain with an unpinned vertex, one that is the
       only greatest point of none of the 8 forms +-x, +-y, +-(x + y),
-      +-(x - y) over the chain (see verify_classification for why no
-      polygon grown from it is minimal of square size h).  Points and
-      segments are always pinned.  Closed back to v0, a chain of three
-      or more points is a strictly convex polygon, counterclockwise.  A
-      vertex c with in-edge direction d and out-edge direction e is the
-      only greatest point of p -> u . p exactly when u lies strictly
-      inside c's normal cone, the open angle between the outward normals
-      of its two edges: the left turn from d to e, less than a half
-      turn, rotated by -90 degrees.  That rotation maps the 8 forms'
-      directions, the compass rays, onto themselves, so c is pinned
-      exactly when a compass ray lies strictly inside the turn from d to
-      e.  With d in sector a and e in sector b (_sector), the first ray
-      after d is sector a + 2 when a is a ray and a + 1 when a is an
-      octant, and it lies strictly inside the turn exactly when e lies
-      beyond it: (b - a) % 16 >= 3 - (a & 1), as the turn is less than a
-      half turn (_PINNED).  Adding w after the last point c changes the
-      neighbours of three vertices only, and each is tested on two
-      sectors: c, whose edges b -> c and c -> w are final, by
-      _Grid.fill, which drops such a w from successors; w, between
-      c -> w and the closing edge w -> v0, by the start's ends; and v0,
-      between w -> v0 and its first edge, by the start's banned set (see
-      _Grid.close).  A vertex unpinned in a chain stays unpinned in every
-      chain grown from it, so a chain is cut at its first unpinned
-      vertex.
+      +-(x - y) over the chain.  Points added to a chain only raise a
+      form's maximum or tie it, so a vertex unpinned in a chain stays
+      unpinned in every polygon grown from it.  Dropping an unpinned v
+      keeps every form's maximum, and _square_size_is reads only those
+      (the two spans and the two shear widths), so it gives the same
+      answer on the other vertices as on all of them.  Either the
+      polygon's square size is not h, or its other vertices span a
+      polygon of square size h inside the drop of v, which then keeps
+      square size h: the polygon is not minimal.  Points and segments
+      are always pinned.  Closed back to v0, a chain of three or more points is a
+      strictly convex polygon, counterclockwise.  A vertex c with
+      in-edge direction d and out-edge direction e is the only greatest
+      point of p -> u . p exactly when u lies strictly inside c's normal
+      cone, the open angle between the outward normals of its two
+      edges: the left turn from d to e, less than a half turn, rotated
+      by -90 degrees.  That rotation maps the 8 forms' directions, the
+      compass rays, onto themselves, so c is pinned exactly when a
+      compass ray lies strictly inside the turn from d to e.  With d in
+      sector a and e in sector b (_sector), the first ray after d is
+      sector a + 2 when a is a ray and a + 1 when a is an octant, and it
+      lies strictly inside the turn exactly when e lies beyond it:
+      (b - a) % 16 >= 3 - (a & 1), as the turn is less than a half turn
+      (_PINNED).  Adding w after the last point c changes the neighbours
+      of three vertices only, and each is tested on two sectors: c,
+      whose edges b -> c and c -> w are final, by _Grid.fill, which
+      drops such a w from successors; w, between c -> w and the closing
+      edge w -> v0, by the start's ends; and v0, between w -> v0 and its
+      first edge, by the start's banned set (see _Grid.close).  So a
+      chain is cut at its first unpinned vertex.
 
     The sweep's walk is anchored, and a chain also carries its greatest
     x and y (_grow's top_x and top_y).  Its first point has x = 0 and it
     is yielded only once it reaches y = 0, so at a yield these are its
-    two spans, and _sweep_one's size decision rejects a tuple whose
-    spans rule out square size h (see verify_classification).  Three
-    decisions read them:
+    two spans.  Three decisions read them:
 
     - cut A, fixed extremes: edges heading backward (lexicographically)
       have angles in (90, 270] degrees and come last (_Grid.fill), so
       after an edge heading backward and down, with an angle in
       (180, 270], every later edge turns left within (180, 270]: it heads
       down with x not increasing.  The chain's maxima are then final,
-      and if both are below h every tuple grown from it fails the size
-      decision, so it is neither yielded nor grown.
+      and if both are below h every tuple grown from it fits the square
+      of its larger span and has square size below h, so the chain is
+      neither yielded nor grown.
     - cut B, box pins: once both maxima are h they are final, as the
       grid is [0, h]^2.  A vertex that is the only greatest point of
       none of x, -x, y and -y over the chain (_box_pinned) stays so as
       points are added, and dropping it from a tuple grown from the
-      chain keeps both spans h, hence square size h, so the drop
-      decision rejects the tuple.  Such a chain is neither yielded nor
-      grown, and as each of the 4 forms has at most one only greatest
-      point, a chain with both maxima h keeps at most 4 points.
+      chain keeps both spans h, hence square size h, so the tuple is
+      not minimal.  Such a chain is neither yielded nor grown, and as
+      each of the 4 forms has at most one only greatest point, a chain
+      with both maxima h keeps at most 4 points.
     - yield test: _grow yields a chain only when it has square size h:
-      both maxima h, or one of them h and both shear widths, along
-      (1, 1) and (1, -1), at least h (_shears_reach), which are computed
-      only then.  It grows the chain all the same.  The lone point and
-      the segments of a start (v0,) are yielded without it.
+      both maxima h, or one of them h and _square_size_is, which reads
+      the two shear widths only then.  It grows the chain all the same.
+      With the segment rule, every tuple of the walk has square size h.
     """
     grid = _Grid(n, anchored, sweep)
     for start in grid.starts():
@@ -255,12 +266,14 @@ class _Grid:
         """The chains of one start of starts(), in walk order.
 
         From (v0,), the point itself unless the walk is anchored above
-        y = 0, and the segments to every later point not in the band
-        (and on y = 0 when anchored above it).  From (v0, w), every chain
-        grown from that first edge, by _grow, whose banned set holds from
-        the start: the points up to v0, the points not strictly left of
-        v0 -> w, the band, the far sets of v0 and w and, in the sweep's
-        mode, the points that leave v0 unpinned (see close).
+        y = 0 or in the sweep's mode, and the segments to every later
+        point not in the band, in the sweep's mode only to those in
+        far[v0] (the segment rule, see _chains), and on y = 0 when
+        anchored above it.  From (v0, w), every chain grown from that
+        first edge, by _grow, whose banned set holds from the start: the
+        points up to v0, the points not strictly left of v0 -> w, the
+        band, the far sets of v0 and w and, in the sweep's mode, the
+        points that leave v0 unpinned (see close).
         """
         points, side = self.points, self.n + 1
         v0 = start[0]
@@ -269,10 +282,11 @@ class _Grid:
         high = y0 if self.anchored else 0
         band = self._band(high)
         if len(start) == 1:
-            if not high:
+            targets = (self.far[i] if self.sweep else -1) & ~band
+            if not (high or self.sweep):
                 yield start
             yield from ((v0, points[j]) for j in range(i + 1, len(points))
-                        if not ((high and points[j][1]) or band >> j & 1))
+                        if targets >> j & 1 and not (high and points[j][1]))
             return
         w = start[1]
         fx, fy = w[0] - x0, w[1] - y0
@@ -414,7 +428,7 @@ def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int,
                     continue
                 keep = False
             elif keep:
-                keep = _shears_reach(h, chain, w)
+                keep = _square_size_is(h, (*chain, w))
         if keep:
             yield (*chain, w)
         chain.append(w)
@@ -426,22 +440,44 @@ def _box_pinned(chain: list, w: tuple) -> bool:
     """Whether each of the chain's points and w is the only greatest
     point among them of one of x, -x, y and -y."""
     points = [*chain, w]
-    soles = set()
-    for values in ([x for x, _ in points], [y for _, y in points]):
-        for t in (min(values), max(values)):
-            if values.count(t) == 1:
-                soles.add(values.index(t))
+    soles = {values.index(t) for values in zip(*points)
+             for t in (min(values), max(values)) if values.count(t) == 1}
     return len(soles) == len(points)
 
 
-def _shears_reach(h: int, chain: list, w: tuple) -> bool:
-    """Whether the chain and w have both shear widths, along (1, 1) and
-    (1, -1), at least h."""
-    sums = [x + y for x, y in chain]
-    diffs = [x - y for x, y in chain]
-    sums.append(w[0] + w[1])
-    diffs.append(w[0] - w[1])
-    return max(sums) - min(sums) >= h and max(diffs) - min(diffs) >= h
+def _square_size_is(h: int, vs) -> bool:
+    """Whether the lattice polygon conv(vs), both axis spans at most h,
+    has square size h; vs holds its vertices and may hold more of its
+    points.
+
+    The axes fit it in the square of its larger span, so that span must
+    be h.  If both spans are h, the square size is h (see check_touch).
+    If one span is h and the other is below h, the square size is h
+    exactly when both shear widths, along (1, 1) and (1, -1), are at
+    least h.  Say the x span is h; the y case is the same with the axes
+    swapped, and the same two directions come out.
+
+    - If one shear width is below h, the unimodular basis {(1, +-1),
+      (0, 1)} fits the polygon in a smaller square.
+    - Conversely, say the square size is below h, through a unimodular
+      basis whose two widths are both below h.  One vector u = (a, b) of
+      that basis has a != 0; take a > 0.  Width is a seminorm, so the
+      directions of width below h form a convex, symmetric set K.  K
+      holds +-(0, 1), whose width is the y span, and +-u, so it holds
+      the parallelogram conv{+-(0, 1), +-u}.  At first coordinate 1 the
+      parallelogram has a section of length 2 - 2/a, at least 1 when
+      a >= 2, and when a = 1 the section holds u itself; either way K
+      holds some (1, k).  k != 0, since width(1, 0) = h.  The map
+      k -> width(1, k) is convex and equals h at 0, so
+      width(1, sign k) < h.
+    """
+    xs, ys = zip(*vs)
+    X, Y = max(xs) - min(xs), max(ys) - min(ys)
+    if (X < h and Y < h) or X == Y:
+        return X == Y == h
+    sums = [x + y for x, y in vs]
+    diffs = [x - y for x, y in vs]
+    return min(max(sums) - min(sums), max(diffs) - min(diffs)) >= h
 
 
 def _image(vs: tuple, X: int, Y: int, symmetry: tuple) -> tuple:

@@ -8,7 +8,8 @@ quadrilaterals conv{(a,0),(0,b),(h,h-c),(h-d,h)} with
 min(a,b) + min(c,d) > h; quadrilaterals satisfying instead
 max(a,c) + max(b,d) < h are mirror images of members of that family,
 so the generator omits them.  verify_classification replays the whole
-claim against an exhaustive grid sweep; its dihedral filter is enumeration's.
+claim against an exhaustive grid sweep; its dihedral filter and its
+square-size test are enumeration's.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .enumeration import _SYMMETRIES, _Grid, _has_smaller_image, _image, map_polygons
+from .enumeration import (
+    _SYMMETRIES, _Grid, _has_smaller_image, _image, _square_size_is, map_polygons)
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import ConvexPolygon, Point, hull, lattice_points
 from .oracle import canonical_form
@@ -171,50 +173,13 @@ class ClassificationReport:
         return not self.only_in_families and not self.only_in_search
 
 
-def _square_size_is(h: int, vs) -> bool:
-    """Whether the lattice polygon conv(vs), both axis spans at most h,
-    has square size h; vs holds its vertices and may hold more of its
-    points.
-
-    The axes fit it in the square of its larger span, so that span must
-    be h.  If both spans are h, the square size is h (see check_touch).
-    If one span is h and the other is below h, the square size is h
-    exactly when both shear widths, along (1, 1) and (1, -1), are at
-    least h.  Say the x span is h; the y case is the same with the axes
-    swapped, and the same two directions come out.
-
-    - If one shear width is below h, the unimodular basis {(1, +-1),
-      (0, 1)} fits the polygon in a smaller square.
-    - Conversely, say the square size is below h, through a unimodular
-      basis whose two widths are both below h.  One vector u = (a, b) of
-      that basis has a != 0; take a > 0.  Width is a seminorm, so the
-      directions of width below h form a convex, symmetric set K.  K
-      holds +-(0, 1), whose width is the y span, and +-u, so it holds
-      the parallelogram conv{+-(0, 1), +-u}.  At first coordinate 1 the
-      parallelogram has a section of length 2 - 2/a, at least 1 when
-      a >= 2, and when a = 1 the section holds u itself; either way K
-      holds some (1, k).  k != 0, since width(1, 0) = h.  The map
-      k -> width(1, k) is convex and equals h at 0, so
-      width(1, sign k) < h.
-    """
-    xs, ys = zip(*vs)
-    X, Y = max(xs) - min(xs), max(ys) - min(ys)
-    if X < h and Y < h:
-        return False
-    if X == Y:
-        return True
-    sums = [x + y for x, y in vs]
-    diffs = [x - y for x, y in vs]
-    return min(max(sums) - min(sums), max(diffs) - min(diffs)) >= h
-
-
 def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
-    """Canonical form of the polygon with vertex tuple vs, both coordinate
-    minima 0, if it is a minimal polygon of square size h that can be its
-    own canonical form, else None; verify_classification argues the
-    decisions, which all read integers, and the last of them the
-    polygon's lattice points."""
-    if (not _square_size_is(h, vs) or _has_smaller_image(vs)
+    """Canonical form of the polygon with vertex tuple vs, a tuple of the
+    sweep's walk, which has square size h and both coordinate minima 0,
+    if it is minimal and can be its own canonical form, else None;
+    verify_classification argues the decisions, which all read integers,
+    and the last of them the polygon's lattice points."""
+    if (_has_smaller_image(vs)
             or any(_square_size_is(h, vs[:i] + vs[i + 1:]) for i in range(len(vs)))):
         return None
     P = ConvexPolygon._trusted(tuple(Point(x, y) for x, y in vs))
@@ -227,9 +192,7 @@ def _sweep_one(h: int, vs: tuple) -> ConvexPolygon | None:
 def _sweep_start(grid: _Grid, start: tuple) -> set[ConvexPolygon]:
     """The classes _sweep_one finds among the chains of one start of the
     sweep's walk grid."""
-    found = {_sweep_one(grid.n, vs) for vs in grid.chains(start)}
-    found.discard(None)
-    return found
+    return {_sweep_one(grid.n, vs) for vs in grid.chains(start)} - {None}
 
 
 def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
@@ -243,63 +206,23 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     minimal polygon of square size h, and it decides minimality exactly
     for every polygon it keeps, so its class set is the full grid's.  C
     has both coordinate minima 0, so it is a tuple of _anchored_chains(h).
-    Three prunes and two cuts stop whole chains in the generator,
-    _chains(h, anchored=True, sweep=True), before a tuple is finished,
-    and a yield test skips single tuples:
+    The walk of _chains(h, anchored=True, sweep=True) yields only the
+    tuples of square size h, and stops a chain once no tuple grown from
+    it can be C: the segment rule, the pair prune, the band prune, the
+    pinned rule, cuts A and B and the yield test, each argued in _chains.
 
-    - Pair prune: a polygon with at least 3 vertices, two of which differ
-      by a vector whose gcd is at least h, is not minimal.  Dropping a
-      third vertex keeps the segment between those two, of lattice length
-      at least h, and square size is monotone under inclusion, so the
-      drop keeps square size at least h.
-    - Band prune: for the start (0, c), a chain that takes a point on a
-      side of the box [0, h]^2 whose coordinate along that side lies
-      outside [c, h - c] grows only into polygons with a dihedral image
-      that starts lower, so none of them is a canonical form (see
-      _chains).
-    - Pinned rule: a vertex is pinned when it is the only vertex at which
-      one of the 8 forms +-x, +-y, +-(x + y), +-(x - y) is greatest.
-      Points added to a chain only raise a form's maximum or tie it, so
-      a vertex unpinned in a chain stays unpinned in every polygon grown
-      from it.  Dropping an unpinned v keeps every form's maximum, and
-      _square_size_is reads only those (the two spans and the two shear
-      widths), so it gives the same answer for vs without v as for vs:
-      either vs has square size other than h and the size decision
-      rejects it, or the drop decision does.  The generator reads the
-      rule off edge directions: in a strictly convex polygon a vertex is
-      pinned exactly when a compass ray lies strictly inside the left
-      turn from its in-edge to its out-edge, one lookup in a table of 16
-      direction sectors (see _chains for the proof).
-    - Cut A, fixed extremes: once a chain's last edge heads backward
-      (lexicographically) and down, its greatest x and y are final, the
-      spans of every tuple grown from it.  If both are below h, every
-      such tuple fails the size decision.
-    - Cut B, box pins: once a chain's greatest x and y are both h, a
-      vertex that is the only greatest point of none of x, -x, y and -y
-      stays so in every tuple grown from it, and dropping it keeps both
-      spans h: the drop has square size h, and the drop decision
-      rejects the tuple.
-    - Yield test: a tuple is yielded only when its spans and, with one
-      span h, its shear widths give square size h, as the size decision
-      below asks; _sweep_one still decides the size on its own.
-
-    Each cuts only tuples _sweep_one rejects.
-
-    _sweep_one then makes three decisions on each tuple's integers before
-    any polygon is built, and a fourth on the lattice points of the
+    _sweep_one then makes two decisions on each tuple's integers before
+    any polygon is built, and a third on the lattice points of the
     polygons left; only the minimal ones are reduced, by canonical_form:
 
-    - Size: _square_size_is decides ls_square(P) == h (its docstring has
-      the proof).  Both spans below h fit the square of the larger span;
-      both spans h give square size h, as check_touch proves; one span h
-      needs both shear widths, along (1, 1) and (1, -1), at least h.
     - Dihedral filter: C is no larger than its 7 other dihedral images,
       so _has_smaller_image keeps it (see enumerate_classes).
     - Drop: if the vertices other than some vertex v span a polygon of
-      square size h, by the size test, the tuple is rejected.  That
-      polygon lies inside drop_vertex(P, v), so, square size being
-      monotone under inclusion, the drop keeps square size h and P is
-      not minimal.  This cheap first pass reads vertices only.
+      square size h, by _square_size_is (its docstring has the proof),
+      the tuple is rejected.  That polygon lies inside drop_vertex(P, v),
+      so, square size being monotone under inclusion, the drop keeps
+      square size h and P is not minimal.  This cheap first pass reads
+      vertices only.
     - Lattice drop: the polygons left, 22 at h=4 and 122 at h=6, are
       built, and their lattice points L(P) listed once.  P is minimal
       exactly when no vertex v gives _square_size_is(h, L(P) minus v)
@@ -313,7 +236,7 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
       every polygon left with at least 3 vertices that holds (0, y) and
       (h, y), or (x, 0) and (x, h): some vertex v is neither point, so
       L(P) minus v keeps that segment of lattice length h, and the drop
-      has square size h, as for the pair prune.
+      has square size h, as for the pair prune (see _chains).
 
     The walk is split by start (see _chains), and each start's chains are
     generated, decided and tested by _sweep_start, so several jobs spread

@@ -160,12 +160,12 @@ def test_width_bound_equality_census():
 
 def test_square_bound_over_the_minimal_classes():
     """2A >= h holds with slack on every full-dimensional minimal class of
-    square size h, h = 2..13, whose least 2A is 2h - 1.  Only the
+    square size h, h = 2..14, whose least 2A is 2h - 1.  Only the
     triangle (1, 1) at h = 2, the exceptional one, and the triangle
     (h/2, h/2) at even h >= 4, of width h, fall in an equality family.
     A lattice polygon of square size h holds a minimal one of the same
     square size, found by dropping vertices, and so at least its area."""
-    for h in range(2, 14):
+    for h in range(2, 15):
         classes = [P for P in generate_minimal(h) if P.dim == 2]
         reports = [check_bounds(P) for P in classes]
         assert all(rep.slack_square > 0 for rep in reports)

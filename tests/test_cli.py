@@ -351,6 +351,9 @@ class TestCorpusCheck:
     @pytest.mark.parametrize("flag, env", [
         ("0", {}), ("-3", {}), ("abc", {}),
         (None, {"LATTICESIZE_JOBS": "0"}), (None, {"LATTICESIZE_JOBS": "abc"}),
+        # int() reads these as 10 and 2 (an Arabic-Indic digit)
+        ("1_0", {}), ("\u0662", {}),
+        (None, {"LATTICESIZE_JOBS": "1_0"}), (None, {"LATTICESIZE_JOBS": "\u0662"}),
     ])
     def test_bad_jobs_rejected(self, flag, env):
         args = ["corpus-check", "--n", "1"] + (["--jobs", flag] if flag else [])
@@ -464,6 +467,18 @@ class TestVerificationFailures:
         assert data["failures"] == ["0,0;0,1: class at h=1 is not minimal"]
         assert data["classification"] == [{"h": 1, "classes": 1, "match": True}]
 
+    def test_corpus_class_of_wrong_size(self, monkeypatch, capsys):
+        # the reduction checks the square size of every class the sweep
+        # finds: here a minimal segment of square size 2 at h=1
+        real = latticesize.cli.verify_classification
+        monkeypatch.setattr(
+            latticesize.cli, "verify_classification",
+            lambda h, **kw: dataclasses.replace(real(h, **kw), search_classes=(
+                hull([(0, 0), (0, 2)]),)))
+        data = self._corpus_check(capsys)
+        assert data["failures"] == ["0,0;0,2: class at h=1 has square size 2"]
+        assert data["classification"] == [{"h": 1, "classes": 1, "match": True}]
+
 
 class TestJobsVariable:
     """$LATTICESIZE_JOBS is read only by commands that use workers; none
@@ -535,3 +550,9 @@ class TestExitCodes:
 
     def test_unknown_flag(self):
         assert run("enumerate", "--n", "1", "--bogus").returncode == 1
+
+    def test_non_ascii_integer(self):
+        # int() would read the Arabic-Indic digit two as 2
+        r = run("enumerate", "--n", "\u0662")
+        assert r.returncode == 1 and r.stdout == ""
+        assert "invalid int value" in r.stderr and "Traceback" not in r.stderr

@@ -26,12 +26,11 @@ from latticesize import (
 )
 from latticesize import enumeration
 from latticesize.enumeration import (
-    _SYMMETRIES, _anchored_chains, _chains, _has_smaller_image)
+    _SYMMETRIES, _anchored_chains, _chains, _has_smaller_image, _square_size_is)
 from latticesize.geometry import _cycle, drop_vertex, lattice_points, width
 from latticesize import minimal
 from latticesize.minimal import (
     _class_key,
-    _square_size_is,
     _sweep_one,
     quad_reflect_params,
 )
@@ -325,6 +324,12 @@ def _yielded(h, vs):
     return len(vs) <= 2 or _square_size_is(h, vs)
 
 
+def _segment_kept(h, vs):
+    """Whether vs is neither a point nor a segment of lattice length below
+    h: the reference for the segment rule of the sweep's generator."""
+    return len(vs) >= 3 or (len(vs) == 2 and _has_long_pair(h, vs))
+
+
 def _holds_chord(h, vs):
     """Whether the polygon hull(vs) holds lattice points (0, y) and (h, y),
     or (x, 0) and (x, h), found among its lattice points: the reference
@@ -383,8 +388,8 @@ def _uncut_chains(h):
 
 def _uncut_survivors(h):
     """The tuples of _uncut_chains(h) that the dihedral filter keeps: the
-    tuples _sweep_one decides when no cut pre-empts its size and drop
-    decisions."""
+    tuples the yield test and _sweep_one decide when no cut pre-empts
+    them."""
     return [vs for vs in _uncut_chains(h) if not _has_smaller_image(vs)]
 
 
@@ -413,7 +418,7 @@ class TestSweepFilters:
         assert set(report.search_classes) == unfiltered
         assert report.matches
 
-    @pytest.mark.parametrize("h,count", [(1, 3), (2, 7), (3, 19), (4, 60), (5, 250)])
+    @pytest.mark.parametrize("h,count", [(1, 2), (2, 3), (3, 11), (4, 47), (5, 231)])
     def test_survivor_counts(self, h, count):
         # a prune or filter that rejects too little keeps the class set,
         # so only the count of tuples it leaves shows it
@@ -439,11 +444,11 @@ class TestSweepFilters:
         assert reached == left == [vs for vs in built if is_minimal(hull(vs))]
 
     def test_dihedral_filter_sees_only_square_size_h(self, monkeypatch):
-        # the square-size test comes first, so the dihedral filter runs
-        # on exactly the tuples it keeps: 131 of the 157 at h=4.  Building
-        # every image would keep every decision, so only the count of
-        # images built, 177, shows the tie rule: each starts where its
-        # tuple does, at (0, c)
+        # the walk yields only tuples of square size h, so the dihedral
+        # filter runs on each of them, 131 at h=4.  Building every image
+        # would keep every decision, so only the count of images built,
+        # 177, shows the tie rule: each starts where its tuple does, at
+        # (0, c)
         h = 4
         filtered, built = [], []
         image = enumeration._image
@@ -452,7 +457,7 @@ class TestSweepFilters:
         monkeypatch.setattr(enumeration, "_image", lambda *args: built.append(args) or image(*args))
         for vs in _sweep_chains(h):
             _sweep_one(h, vs)
-        assert filtered == [vs for vs in _sweep_chains(h) if _square_size_is(h, vs)]
+        assert filtered == list(_sweep_chains(h))
         assert (len(filtered), len(built)) == (131, 177)
         assert all(image(vs, *rest)[0] == vs[0] for vs, *rest in built)
 
@@ -465,25 +470,27 @@ class TestSweepFilters:
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_chord_tuples_are_rejected(self, h):
-        # every anchored tuple with 3 or more vertices that holds a chord:
-        # no decision reads the chord, and a drop decision rejects it
+        # every anchored tuple with 3 or more vertices that holds a chord,
+        # and so has square size h: no decision reads the chord, and a
+        # drop decision rejects it
         held = [vs for vs in _anchored_chains(h) if len(vs) >= 3 and _holds_chord(h, vs)]
         assert held
-        assert all(_sweep_one(h, vs) is None for vs in held)
+        assert all(_square_size_is(h, vs) and _sweep_one(h, vs) is None for vs in held)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_decisions_match_the_references(self, h, monkeypatch):
-        # _sweep_one's four decisions against tests written out
-        # separately, the square size and the vertex drops through
-        # ls_square and minimality through is_minimal; a tuple that none
-        # rejects reaches the stand-in of canonical_form
+        # the walk's square-size decision and _sweep_one's three
+        # decisions, on the tuples of square size h, against tests
+        # written out separately, the square size and the vertex drops
+        # through ls_square and minimality through is_minimal; a tuple
+        # that none rejects reaches the stand-in of canonical_form
         reached = []
         monkeypatch.setattr(minimal, "canonical_form", lambda P: reached.append(P))
         for vs in _anchored_chains(h):
             X, Y = _spans(vs)
-            rejected = ((X < h and Y < h)
-                        or _reference_has_smaller_image(vs)
-                        or ls_square(hull(vs)) != h)
+            sized = not (X < h and Y < h) and ls_square(hull(vs)) == h
+            assert _square_size_is(h, vs) == sized, vs
+            rejected = not sized or _reference_has_smaller_image(vs)
             if not rejected:
                 kept = _reference_keeping_drops(h, vs)
                 # conv of the other vertices lies in the drop, which so
@@ -492,7 +499,7 @@ class TestSweepFilters:
                 rejected = not is_minimal(hull(vs))
                 assert rejected or not kept
             reached.clear()
-            assert _sweep_one(h, vs) is None
+            assert not sized or _sweep_one(h, vs) is None
             assert len(reached) == (not rejected), vs
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6])
@@ -516,21 +523,24 @@ class TestSweepFilters:
 class TestSweepPrunes:
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_prunes_keep_the_filtered_list(self, h):
-        # the unpruned way: every anchored tuple, then the pair, pinned,
-        # cut B, yield and dihedral filters as tuple tests
+        # the unpruned way: every anchored tuple, then the segment, pair,
+        # pinned, cut B, yield and dihedral filters as tuple tests
         want = [vs for vs in _anchored_chains(h)
-                if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _has_unpinned_vertex(vs)
-                and not _box_unpinned(h, vs) and _yielded(h, vs) and not _has_smaller_image(vs)]
+                if _segment_kept(h, vs) and not (len(vs) >= 3 and _has_long_pair(h, vs))
+                and not _has_unpinned_vertex(vs) and not _box_unpinned(h, vs)
+                and _yielded(h, vs) and not _has_smaller_image(vs)]
         assert _survivors(h) == want
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_prunes_drop_exactly_the_pruned_tuples(self, h):
-        # the anchored tuples less those with a long pair (3 or more
-        # vertices), a band point, an unpinned vertex or a vertex cut B
-        # drops, and those the yield test skips, in the same order
+        # the anchored tuples less the points and short segments, those
+        # with a long pair (3 or more vertices), a band point, an unpinned
+        # vertex or a vertex cut B drops, and those the yield test skips,
+        # in the same order
         want = [vs for vs in _anchored_chains(h)
-                if not (len(vs) >= 3 and _has_long_pair(h, vs)) and not _holds_band_point(h, vs)
-                and not _has_unpinned_vertex(vs) and not _box_unpinned(h, vs) and _yielded(h, vs)]
+                if _segment_kept(h, vs) and not (len(vs) >= 3 and _has_long_pair(h, vs))
+                and not _holds_band_point(h, vs) and not _has_unpinned_vertex(vs)
+                and not _box_unpinned(h, vs) and _yielded(h, vs)]
         assert list(_sweep_chains(h)) == want
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
@@ -545,7 +555,7 @@ class TestSweepPrunes:
         # the tuples the rule cuts from the sweep's walk, by the audit
         held = [vs for vs in _anchored_chains(h) if _has_unpinned_vertex(vs)]
         assert held
-        assert all(_sweep_one(h, vs) is None for vs in held)
+        assert all(not _square_size_is(h, vs) or _sweep_one(h, vs) is None for vs in held)
         assert _audit_pinned(h) == (cut, 0)
 
     @pytest.mark.parametrize("h,cut", [(2, 5), (3, 63), (4, 400), (5, 1_941), (6, 8_203),
@@ -573,10 +583,18 @@ class TestSweepPrunes:
             assert lookup == pinned, (d, e)
         assert turns
 
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6])
+    def test_walk_yields_only_square_size_h(self, h):
+        # every tuple of the sweep's walk, 2,992 at h=6, by ls_square:
+        # _sweep_one makes no size decision of its own
+        chains = list(_sweep_chains(h))
+        assert chains
+        assert all(ls_square(hull(vs)) == h for vs in chains)
+
     def test_prunes_skip_chains(self, monkeypatch):
         # 18,019 anchored tuples of {0..4}^2 in 18,051 _grow calls
         # (test_anchored_pruning_skips_chains); the prunes and cuts leave
-        # 157 in 464
+        # 131 in 464
         grow, calls = enumeration._grow, []
 
         def counted(*args):
@@ -586,7 +604,7 @@ class TestSweepPrunes:
         monkeypatch.setattr(enumeration, "_grow", counted)
         assert sum(1 for _ in _anchored_chains(4)) == 18_019
         unpruned = len(calls)
-        assert sum(1 for _ in _sweep_chains(4)) == 157
+        assert sum(1 for _ in _sweep_chains(4)) == 131
         assert (unpruned, len(calls) - unpruned) == (18_051, 464)
 
 
@@ -599,7 +617,10 @@ class TestSpanDecisions:
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_both_spans_below_h_is_smaller(self, h):
-        small = [vs for vs in _uncut_survivors(h) if max(_spans(vs)) < h]
+        # every anchored tuple with both spans below h, which cut A and
+        # the yield test drop: the lone point at h=1, which the segment
+        # rule keeps out of the walk, up to 18,019 at h=5
+        small = [vs for vs in _anchored_chains(h) if max(_spans(vs)) < h]
         assert small
         assert all(ls_square(hull(vs)) < h for vs in small)
 
@@ -610,10 +631,11 @@ _LATTICE_DROPS = {1: 0, 2: 0, 3: 2, 4: 6, 5: 17}
 
 def _decided_tuples(h):
     """The survivors of the walk without cuts with a span h, split into
-    those the square size rejects, those a vertex drop rejects, those a
-    drop over the lattice points rejects and the ones left, which reach
-    canonical_form.  The cuts drop only size and drop rejections, so the
-    last two lists are the sweep's too."""
+    those the square size rejects (the yield test, in the sweep's walk),
+    those a vertex drop rejects, those a drop over the lattice points
+    rejects and the ones left, which reach canonical_form.  The cuts drop
+    only size and drop rejections, so the last two lists are the sweep's
+    too."""
     size, drop, lattice, left = [], [], [], []
     for vs in _uncut_survivors(h):
         if max(_spans(vs)) < h:
@@ -649,9 +671,9 @@ def _audit_pinned(h):
     against the same walk without it, both without the cuts that read the
     chain's maxima (_uncut_chains): (tuples the rule cuts,
     disagreements), where a cut tuple disagrees unless it has an unpinned
-    vertex, by the reference, and _sweep_one rejects it, and the walk
-    with the rule disagrees once more unless it is a subsequence of the
-    walk without it.  Outside the tests, run it as
+    vertex, by the reference, and, if it has square size h, _sweep_one
+    rejects it, and the walk with the rule disagrees once more unless it
+    is a subsequence of the walk without it.  Outside the tests, run it as
     PYTHONPATH=src:tests python -c "import test_minimal as t; print(t._audit_pinned(7))"
     """
     kept = iter(_uncut_chains(h))
@@ -666,7 +688,8 @@ def _audit_pinned(h):
                 head = next(kept, None)
             else:
                 cut += 1
-                wrong += not _has_unpinned_vertex(vs) or _sweep_one(h, vs) is not None
+                wrong += not _has_unpinned_vertex(vs) or (
+                    _square_size_is(h, vs) and _sweep_one(h, vs) is not None)
     return cut, wrong + (head is not None)
 
 
@@ -674,7 +697,7 @@ def _audit_cuts(h):
     """Cuts A and B and the yield test of the sweep's generator at square
     size h checked against the same walk without them (_uncut_chains):
     (tuples they drop, disagreements), where a dropped tuple disagrees
-    unless cut B's reference or a square size other than h drops it and
+    unless its square size is not h, or cut B's reference drops it and
     _sweep_one rejects it, and the walk with them disagrees once more
     unless it is a subsequence of the walk without them.  Outside the
     tests, run it as
@@ -688,8 +711,8 @@ def _audit_cuts(h):
             head = next(kept, None)
         else:
             cut += 1
-            wrong += ((_square_size_is(h, vs) and not _box_unpinned(h, vs))
-                      or _sweep_one(h, vs) is not None)
+            wrong += _square_size_is(h, vs) and (
+                not _box_unpinned(h, vs) or _sweep_one(h, vs) is not None)
     return cut, wrong + (head is not None)
 
 
@@ -726,7 +749,7 @@ class TestIntegerDecisions:
                 assert _square_size_is(h, P.vertices) == (ls_square(P) == h), P
 
     @pytest.mark.parametrize("h,size,drop", [
-        (1, 0, 0), (2, 1, 0), (3, 5, 4), (4, 27, 50), (5, 116, 339)])
+        (1, 0, 0), (2, 0, 0), (3, 3, 4), (4, 24, 50), (5, 112, 339)])
     def test_rejections_are_sound(self, h, size, drop):
         # every size rejection is below h and every drop rejection, over
         # the vertices or the lattice points, is not minimal, by ls_square
