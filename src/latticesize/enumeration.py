@@ -41,7 +41,7 @@ _SYMMETRIES = tuple(itertools.product((False, True), repeat=3))[1:]
 
 
 def _check_grid(n: int, limit: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= limit:
+    if type(n) is not int or not 1 <= n <= limit:
         raise InvalidInputError(f"grid size must be an integer in 1..{limit}, got {n!r}")
 
 
@@ -79,7 +79,7 @@ def _anchored_chains(n: int) -> Iterator[tuple]:
     carries each chain's smallest y (_grow's `lowest`) and yields a chain
     just when it is 0, as a scan would, at its place in the unpruned walk.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidInputError(f"grid size must be a positive integer, got {n!r}")
     return _chains(n, anchored=True)
 
@@ -90,9 +90,13 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
     only from the column x = 0, as _anchored_chains describes.
 
     The walk is split by start (_Grid.starts): each start point v0 gives
-    one start for its lone point and segments, then one for each first
-    edge v0 -> w a chain is grown from (_Grid.chains), in walk order.
-    The tables the walk reads are built once per call (_Grid).
+    one start (v0,) for its lone point and segments, when that start
+    yields any, then one for each first edge v0 -> w a chain is grown
+    from (_Grid.chains), in walk order.  Every mode runs the same walk,
+    on tables built once per call (_Grid) and once per start point
+    (_Grid.record).  The sweep's rules below are entries of those
+    tables, which drop nothing outside the sweep's mode, or decisions
+    on a chain's maxima, which only the sweep makes.
 
     With sweep too, n is the square size h of verify_classification's
     sweep, and the walk yields only the anchored tuples of square size h,
@@ -101,8 +105,11 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
     subsequence, in the same order.  From a start (v0,) it yields only
     the segments to the points of far[v0] (the segment rule): a lattice
     segment's square size is its lattice length, at most h in the grid,
-    and the lone point's is 0.  A chain carries the set of points it may
-    not take (_grow's `banned`):
+    and the lone point's is 0.  So only v0 = (0, 0) has that start: a
+    segment from (0, c), 0 < c < h, to y = 0 has lattice length at most
+    c, and the band prune bans (0, h).
+    A chain carries the set of points it may not take (_grow's
+    `banned`):
 
     - pair prune: every point w' with gcd(w' - u) >= h for a vertex u of
       the chain.  Dropping a third vertex of a polygon that holds u and
@@ -150,9 +157,9 @@ def _chains(n: int, anchored: bool = False, sweep: bool = False) -> Iterator[tup
       of three vertices only, and each is tested on two sectors: c,
       whose edges b -> c and c -> w are final, by _Grid.fill, which
       drops such a w from successors; w, between c -> w and the closing
-      edge w -> v0, by the start's ends; and v0, between w -> v0 and its
-      first edge, by the start's banned set (see _Grid.close).  So a
-      chain is cut at its first unpinned vertex.
+      edge w -> v0, by v0's ends; and v0, between w -> v0 and its first
+      edge, by the start's banned set (see _Grid.record).  So a chain is
+      cut at its first unpinned vertex.
 
     The sweep's walk is anchored, and a chain also carries its greatest
     x and y (_grow's top_x and top_y).  Its first point has x = 0 and it
@@ -207,17 +214,18 @@ class _Grid:
     order, and a point's index i there is its bit 1 << i in a point set
     held as an int.  far[i] is the set of points that span a segment of
     lattice length at least n with point i, in the sweep's mode, and
-    empty otherwise.  successors[b * len(points) + c] is filled on first
-    use with the points w that follow the edge from point b to point c
-    (see _grow), each as (w, its two coordinates, its bit, its far set,
-    the index of the edge c -> w, the sector of c -> w), in grid order.
-    In the sweep's mode only, sectors[diff(dx, dy)] is the _sector of
-    each nonzero difference of two grid points, and closing[i] is filled
-    on first use with the pinned rule's masks for chains from point i
-    (see close); outside it no sector is computed, and each successor's
-    is 0.  Nothing is kept from one walk to the next in this process; a
-    grid sent to a worker process is rebuilt there through _shared_grid,
-    so the worker keeps its tables across the starts it runs.
+    empty otherwise.  sectors[diff(dx, dy)] is the _sector of each
+    nonzero difference of two grid points, and pinned is the pinned
+    rule's table: _PINNED in the sweep's mode, and all true otherwise,
+    so that outside it the rule drops nothing.  successors[b *
+    len(points) + c] is filled on first use with the points w that
+    follow the edge from point b to point c (see _grow), each as (w, its
+    two coordinates, its bit, its far set, the index of the edge c -> w,
+    the sector of c -> w), in grid order.  records[i] is filled on first
+    use with the tables of the starts from point i (see record).
+    Nothing is kept from one walk to the next in this process; a grid
+    sent to a worker process is rebuilt there through _shared_grid, so
+    the worker keeps its tables across the starts it runs.
     """
 
     def __init__(self, n: int, anchored: bool, sweep: bool) -> None:
@@ -225,10 +233,11 @@ class _Grid:
         self.points = points = [(x, y) for x in range(n + 1) for y in range(n + 1)]
         self.far = [sum(1 << j for j, (x, y) in enumerate(points) if gcd(x - px, y - py) >= n)
                     if sweep else 0 for px, py in points]
-        self.successors = [None] * len(points) ** 2
         self.sectors = [_sector(dx, dy) if dx or dy else None
-                        for dx in range(-n, n + 1) for dy in range(-n, n + 1)] if sweep else []
-        self.closing = [None] * len(points)
+                        for dx in range(-n, n + 1) for dy in range(-n, n + 1)]
+        self.pinned = _PINNED if sweep else (True,) * 256
+        self.successors = [None] * len(points) ** 2
+        self.records = [None] * len(points)
 
     def __reduce__(self):
         return _shared_grid, (self.n, self.anchored, self.sweep)
@@ -237,25 +246,19 @@ class _Grid:
         """The index of the difference (dx, dy) in sectors."""
         return (dx + self.n) * (2 * self.n + 1) + dy + self.n
 
-    def _band(self, high: int) -> int:
-        """The band prune's set for the start (0, high), empty outside
-        the sweep's mode or for high = 0 (see _chains)."""
-        n = self.n
-        return sum(1 << i for i, (x, y) in enumerate(self.points) if self.sweep and (
-            (x in (0, n) and not high <= y <= n - high)
-            or (y in (0, n) and not high <= x <= n - high)))
-
     def starts(self) -> Iterator[tuple]:
         """The walk's starts in its order: (v0,) for the lone point v0
-        and its segments, then (v0, w) for each first edge a chain is
-        grown from; none from a v0 the band prune bans."""
+        and its segments, when that start yields any, then (v0, w) for
+        each first edge a chain is grown from; none from a v0 the band
+        prune bans."""
         n, points = self.n, self.points
         for i, v0 in enumerate(points[:n + 1] if self.anchored else points):
-            high = v0[1] if self.anchored else 0
-            band = self._band(high)
+            band, targets, _, _ = self.records[i] or self.record(i)
             if band >> i & 1:
                 continue
-            yield (v0,)
+            if targets:
+                yield (v0,)
+            high = v0[1] if self.anchored else 0
             banned = band | self.far[i]
             for j in range(i + 1, len(points)):
                 w = points[j]
@@ -265,82 +268,89 @@ class _Grid:
     def chains(self, start: tuple) -> Iterator[tuple]:
         """The chains of one start of starts(), in walk order.
 
-        From (v0,), the point itself unless the walk is anchored above
-        y = 0 or in the sweep's mode, and the segments to every later
-        point not in the band, in the sweep's mode only to those in
-        far[v0] (the segment rule, see _chains), and on y = 0 when
-        anchored above it.  From (v0, w), every chain grown from that
-        first edge, by _grow, whose banned set holds from the start: the
-        points up to v0, the points not strictly left of v0 -> w, the
-        band, the far sets of v0 and w and, in the sweep's mode, the
-        points that leave v0 unpinned (see close).
+        From (v0,), for each point p of v0's targets (see record) in
+        grid order, the lone point v0 if p = v0 and the segment to p
+        otherwise.  From (v0, w), every
+        chain grown from that first edge, by _grow, whose banned set holds
+        from the start: the points up to v0, the points not strictly left
+        of v0 -> w, the band, the far sets of v0 and w and the points that
+        leave v0 unpinned.
         """
         points, side = self.points, self.n + 1
         v0 = start[0]
         x0, y0 = v0
         i = x0 * side + y0
-        high = y0 if self.anchored else 0
-        band = self._band(high)
+        band, targets, ends, unpins = self.records[i] or self.record(i)
         if len(start) == 1:
-            targets = (self.far[i] if self.sweep else -1) & ~band
-            if not (high or self.sweep):
-                yield start
-            yield from ((v0, points[j]) for j in range(i + 1, len(points))
-                        if targets >> j & 1 and not (high and points[j][1]))
+            yield from ((v0, points[j]) if j > i else start
+                        for j in range(i, len(points)) if targets >> j & 1)
             return
         w = start[1]
         fx, fy = w[0] - x0, w[1] - y0
         j = w[0] * side + w[1]
         right = sum(1 << k for k, (x, y) in enumerate(points) if fx * (y - y0) - fy * (x - x0) <= 0)
-        banned = (1 << i) - 1 | right | band | self.far[i] | self.far[j]
-        ends = None
-        if self.sweep:
-            ends, unpins = self.closing[i] or self.close(i)
-            banned |= unpins[self.sectors[self.diff(fx, fy)]]
-        yield from _grow(self, [v0, w], i * len(points) + j, min(high, w[1]), banned, ends,
+        banned = ((1 << i) - 1 | right | band | self.far[i] | self.far[j]
+                  | unpins[self.sectors[self.diff(fx, fy)]])
+        yield from _grow(self, [v0, w], i * len(points) + j,
+                         min(y0 if self.anchored else 0, w[1]), banned, ends,
                          w[0], max(y0, w[1]))
 
-    def close(self, i: int) -> tuple:
-        """closing[i], built: the pinned rule's two lists of masks for a
-        chain from point i = v0, each indexed by a sector.  ends[s] holds
-        the points w that are unpinned as the chain's last vertex after
-        an edge of sector s.  unpins[s] holds the points w that, as the
-        last vertex, leave v0 unpinned when v0's edge to the next vertex
-        has sector s.  Both read the sector of the closing edge w -> v0
-        (see _chains)."""
+    def record(self, i: int) -> tuple:
+        """records[i], built: the tables of the starts from point i = v0
+        (see _chains), one scan of the grid.
+
+        band is the band prune's set, empty outside the sweep's mode or
+        when the walk is not anchored above y = 0.  targets holds the
+        points p such that the start (v0,) yields the segment from v0 to
+        p, or v0 itself for p = v0: p comes no earlier than v0, is not in
+        the band, lies on y = 0 when the walk is anchored above it, and,
+        in the sweep's mode, is in far[i] (the segment rule), which never
+        holds v0.  ends and unpins are the pinned rule's two lists of
+        masks, each indexed by a sector; every mask is empty outside the
+        sweep's mode, where pinned is all true.  ends[s] holds the points w that are
+        unpinned as the chain's last vertex after an edge of sector s.
+        unpins[s] holds the points w that, as the last vertex, leave v0
+        unpinned when v0's edge to the next vertex has sector s.  Both
+        read the sector of the closing edge w -> v0.
+        """
+        n, pinned = self.n, self.pinned
         x0, y0 = self.points[i]
+        high = y0 if self.anchored else 0
+        reach = self.far[i] if self.sweep else -1
+        band = targets = 0
         back = [0] * 16  # the points w by the sector of w -> v0
         for k, (x, y) in enumerate(self.points):
+            if self.sweep and ((x in (0, n) and not high <= y <= n - high)
+                               or (y in (0, n) and not high <= x <= n - high)):
+                band |= 1 << k
+            elif k >= i and reach >> k & 1 and not (high and y):
+                targets |= 1 << k
             if k != i:
                 back[self.sectors[self.diff(x0 - x, y0 - y)]] |= 1 << k
-        ends = [sum(back[t] for t in range(16) if not _PINNED[s * 16 + t]) for s in range(16)]
-        unpins = [sum(back[t] for t in range(16) if not _PINNED[t * 16 + s]) for s in range(16)]
-        self.closing[i] = ends, unpins
-        return ends, unpins
+        ends = [sum(back[t] for t in range(16) if not pinned[s * 16 + t]) for s in range(16)]
+        unpins = [sum(back[t] for t in range(16) if not pinned[t * 16 + s]) for s in range(16)]
+        self.records[i] = band, targets, ends, unpins
+        return self.records[i]
 
     def fill(self, edge: int) -> list:
         """successors[edge], built: every grid point w that makes a strict
-        left turn at c after the edge b -> c and that does not head
-        forward (lexicographically) from c when b -> c heads backward; in
-        the sweep's mode, only those after which c is pinned (see
-        _chains)."""
+        left turn at c after the edge b -> c, that does not head forward
+        (lexicographically) from c when b -> c heads backward, and after
+        which c is pinned, by pinned (see _chains)."""
         size = len(self.points)
         b, c = divmod(edge, size)
         (bx, by), (cx, cy) = B, C = self.points[b], self.points[c]
         lx, ly = cx - bx, cy - by
         backward = C < B
-        sectors = self.sectors
-        turn = sectors[self.diff(lx, ly)] * 16 if self.sweep else None
+        sectors, pinned = self.sectors, self.pinned
+        turn = sectors[self.diff(lx, ly)] * 16
         row = []
         for k, w in enumerate(self.points):
             wx, wy = w
             if lx * (wy - cy) - ly * (wx - cx) > 0 and not (backward and w > C):
-                sector = 0
-                if turn is not None:
-                    sector = sectors[self.diff(wx - cx, wy - cy)]
-                    if not _PINNED[turn + sector]:
-                        continue
-                row.append((w, wx, wy, 1 << k, self.far[k], c * size + k, sector))
+                sector = sectors[self.diff(wx - cx, wy - cy)]
+                if pinned[turn + sector]:
+                    row.append((w, wx, wy, 1 << k, self.far[k], c * size + k, sector))
         self.successors[edge] = row
         return row
 
@@ -356,7 +366,7 @@ def _shared_grid(n: int, anchored: bool, sweep: bool) -> _Grid:
 
 
 def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int,
-          ends: list | None, top_x: int, top_y: int) -> Iterator[tuple]:
+          ends: list, top_x: int, top_y: int) -> Iterator[tuple]:
     """Extend a chain of two or more grid points, v0 first, whose last
     edge has index edge in grid.successors, by one more point in all
     valid ways, yielding each polygon so made.
@@ -392,15 +402,15 @@ def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int,
 
     A point of banned ends the chain: it is neither yielded nor grown.
     A kept w adds its far set, the points it spans a long segment with,
-    to the set its extensions get.  In the sweep's mode, ends is the
-    ends list of v0 (see _Grid.close) and top_x and top_y are the
-    chain's greatest x and y; then a w unpinned as the last point (its
-    bit in ends[sector of c -> w]) ends the chain, and so do cuts A and
-    B, and the yield test decides the yield (see _chains).  Outside it,
-    ends is None, the maxima are not kept, and far sets and the band are
-    empty.
-    The sweep's prunes and cuts hold for every extension of a chain they
-    drop, so no chain the sweep keeps is lost.
+    to the set its extensions get.  ends is the ends list of v0 (see
+    _Grid.record), and a w unpinned as the last point, its bit in
+    ends[sector of c -> w], ends the chain too.  top_x and top_y are
+    the chain's greatest x and y.  In the sweep's mode cuts A and B,
+    which read them, end the chain too, and the yield test decides the
+    yield (see _chains); outside it, the far sets, the band and ends are
+    empty, so the walk is the same with no prune.  The sweep's prunes
+    and cuts hold for every extension of a chain they drop, so no chain
+    the sweep keeps is lost.
     """
     successors = grid.successors[edge]
     if successors is None:
@@ -408,18 +418,15 @@ def _grow(grid: _Grid, chain: list, edge: int, lowest: int, banned: int,
     x0, y0 = chain[0]
     cx, cy = chain[-1]
     gx, gy = x0 - cx, y0 - cy
-    h = grid.n
+    h, sweep = grid.n, grid.sweep
     for w, wx, wy, bit, far, after, sector in successors:
-        if banned & bit or (wx - cx) * gy - (wy - cy) * gx <= 0 or (lowest and wy >= cy):
+        if (banned & bit or (wx - cx) * gy - (wy - cy) * gx <= 0 or (lowest and wy >= cy)
+                or ends[sector] & bit):
             continue
         keep = not (lowest and wy)
-        if ends is None:
-            X = Y = 0
-        else:
-            if ends[sector] & bit:
-                continue
-            X = wx if wx > top_x else top_x
-            Y = wy if wy > top_y else top_y
+        X = wx if wx > top_x else top_x
+        Y = wy if wy > top_y else top_y
+        if sweep:
             if X == h == Y:
                 if len(chain) > 3 or not _box_pinned(chain, w):
                     continue
@@ -550,7 +557,7 @@ def map_polygons(fn: Callable, polygons: Iterable, jobs: int) -> Iterator:
     items.  fn must then be picklable (a module-level function or a
     partial of one) and so must the items and the results.
     """
-    if not isinstance(jobs, int) or jobs < 1:
+    if type(jobs) is not int or jobs < 1:
         raise InvalidInputError(f"worker count must be a positive integer, got {jobs!r}")
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1:

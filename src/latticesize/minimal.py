@@ -30,10 +30,10 @@ DEFAULT_CLASSIFY_LIMIT = 5
 
 
 def _check_params(h: int, params: tuple[int, ...]) -> None:
-    if not isinstance(h, int) or h < 1:
+    if type(h) is not int or h < 1:
         raise InvalidInputError("square size must be a positive integer")
     for p in params:
-        if not isinstance(p, int) or not 1 <= p <= h - 1:
+        if type(p) is not int or not 1 <= p <= h - 1:
             raise InvalidInputError(
                 f"family parameters must be integers in 1..{h - 1}")
 
@@ -119,7 +119,7 @@ def minimal_families(h: int) -> Iterator[MinimalFamily]:
     triangle parameter pair is unordered up to the diagonal mirror), so
     class counting must deduplicate downstream.
     """
-    if not isinstance(h, int) or h < 1:
+    if type(h) is not int or h < 1:
         raise InvalidInputError("square size must be a positive integer")
     yield MinimalFamily("segment", h)
     for a in range(1, h):
@@ -245,7 +245,7 @@ def verify_classification(h: int, limit: int = DEFAULT_CLASSIFY_LIMIT,
     one set of tables.  The sweep cost grows quickly with h, hence the
     guard; raise the limit explicitly for a longer run.
     """
-    if not isinstance(h, int) or h < 1:
+    if type(h) is not int or h < 1:
         raise InvalidInputError(f"square size must be a positive integer, got {h!r}")
     if h > limit:
         raise ResourceLimitError(

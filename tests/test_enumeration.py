@@ -154,6 +154,8 @@ class TestOrder:
     def test_anchored_guard(self):
         with pytest.raises(InvalidInputError):
             _anchored_chains(0)
+        with pytest.raises(InvalidInputError):
+            _anchored_chains(True)
 
 
 def _seen_set_classes(n, include_degenerate):
@@ -208,7 +210,7 @@ class TestGuards:
         with pytest.raises(InvalidInputError):
             enumerate_classes(6)
 
-    @pytest.mark.parametrize("n", [0, 6, 2.0, "3"])
+    @pytest.mark.parametrize("n", [0, 6, 2.0, "3", True])
     def test_one_guard_for_both_enumerators(self, n):
         for enumerate_grid in (enumerate_convex, enumerate_classes):
             with pytest.raises(InvalidInputError, match="grid size"):
@@ -235,7 +237,7 @@ class TestMapPolygons:
         assert (first.n, first.anchored, first.sweep) == (5, True, True)
         assert list(first.starts()) == list(grid.starts())
 
-    @pytest.mark.parametrize("jobs", [0, -1, "2", 1.5, None])
+    @pytest.mark.parametrize("jobs", [0, -1, "2", 1.5, None, True])
     def test_bad_worker_count_rejected(self, jobs):
         with pytest.raises(InvalidInputError):
             map_polygons(area, [], jobs)

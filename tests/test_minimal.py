@@ -69,6 +69,8 @@ class TestFamilyValidation:
             MinimalFamily("triangle", 3, (0, 2))
         with pytest.raises(InvalidInputError):
             MinimalFamily("triangle", 3, (1, 3))
+        with pytest.raises(InvalidInputError):
+            MinimalFamily("triangle", 3, (True, 2))
 
     def test_param_count(self):
         with pytest.raises(InvalidInputError):
@@ -81,6 +83,8 @@ class TestFamilyValidation:
             MinimalFamily("pentagon", 3, ())
         with pytest.raises(InvalidInputError):
             MinimalFamily("segment", 0)
+        with pytest.raises(InvalidInputError):
+            MinimalFamily("segment", True)
 
 
 class TestPredicates:
@@ -157,6 +161,8 @@ class TestGeneration:
     def test_bad_h(self):
         with pytest.raises(InvalidInputError):
             list(minimal_families(0))
+        with pytest.raises(InvalidInputError):
+            list(minimal_families(True))
         with pytest.raises(InvalidInputError):
             generate_minimal(-1)
 
@@ -251,6 +257,8 @@ class TestVerification:
             verify_classification(9)
         with pytest.raises(InvalidInputError):
             verify_classification(0)
+        with pytest.raises(InvalidInputError):
+            verify_classification(True)
         with pytest.raises(InvalidInputError):
             verify_classification(1, jobs=0)
 
@@ -590,6 +598,16 @@ class TestSweepPrunes:
         chains = list(_sweep_chains(h))
         assert chains
         assert all(ls_square(hull(vs)) == h for vs in chains)
+
+    @pytest.mark.parametrize("h,edges", [(4, 28), (7, 90), (8, 135)])
+    def test_sweep_starts(self, h, edges):
+        # the segment rule leaves the lone point and segments of (0, 0)
+        # alone, and a start that yields nothing is not made
+        grid = enumeration._Grid(h, True, True)
+        starts = list(grid.starts())
+        assert [s for s in starts if len(s) == 1] == [((0, 0),)]
+        assert sum(len(s) == 2 for s in starts) == edges
+        assert all(next(grid.chains(s), None) for s in starts if len(s) == 1)
 
     def test_prunes_skip_chains(self, monkeypatch):
         # 18,019 anchored tuples of {0..4}^2 in 18,051 _grow calls
