@@ -8,7 +8,11 @@ smallest vertex (_cycle rotates a mapped cycle into it).  Structural
 equality of polygons is therefore geometric equality.  Computations on
 a rational polygon P run on its integer multiple D*P, D the least common
 denominator of its coordinates (_scaled): lattice_points scans D*P in
-integers, and the size and oracle modules measure D*P.
+integers, and the size and oracle modules measure D*P.  hull, too, runs
+its monotone chain on the integer pairs D*p of its input and maps the
+result back to the input's Points.  A polygon hashes its vertices once,
+on first use, and keeps the value, so the memos keyed by polygons hash
+a Fraction coordinate once per polygon, not once per lookup.
 """
 from __future__ import annotations
 
@@ -60,11 +64,13 @@ class Point(namedtuple("Point", "x y")):
         return isinstance(self.x, int) and isinstance(self.y, int)
 
 
-def _cross(o: Point, a: Point, b: Point) -> Coord:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _cross(o, a, b) -> Coord:
+    """The cross product of a - o and b - o, for Points or integer pairs:
+    positive when o, a, b turn counterclockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ConvexPolygon:
     """A point, segment, or convex polygon in canonical vertex order.
 
@@ -72,13 +78,21 @@ class ConvexPolygon:
     back unchanged.  hull returns the canonical tuple of any finite point
     set and returns a canonical tuple unchanged, so a tuple is canonical
     exactly when it is its own hull.
+
+    A polygon hashes its vertices once, on first use, and keeps the
+    value in the slot _hash: the memos of size and oracle look P up
+    several times per query, and hashing a Fraction coordinate is far
+    dearer than hashing an int.  _hash is a slot, not a field, so
+    equality, repr and dataclasses.fields see the vertices alone.
     """
 
+    __slots__ = ("vertices", "_hash")
     vertices: tuple[Point, ...]
 
     def __post_init__(self) -> None:
         vs = tuple(self.vertices)
         object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "_hash", None)
         if not vs:
             raise InvalidInputError("polygon needs at least one vertex")
         if not all(isinstance(v, Point) for v in vs):
@@ -93,7 +107,25 @@ class ConvexPolygon:
         # internal fast path for callers that construct canonical tuples
         self = object.__new__(cls)
         object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_hash", None)
         return self
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            # the value dataclass would give, so set orders stay as they were
+            h = hash((self.vertices,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    # the cached hash is not pickled: the reading process hashes afresh,
+    # as its hash of a number may differ (the width is the platform's)
+    def __getstate__(self):
+        return self.vertices
+
+    def __setstate__(self, vertices) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_hash", None)
 
     @property
     def dim(self) -> int:
@@ -110,27 +142,51 @@ class ConvexPolygon:
 
 
 def _as_point(p) -> Point:
-    return p if isinstance(p, Point) else Point(p[0], p[1])
+    if isinstance(p, Point):
+        return p
+    x, y = p[0], p[1]
+    # a pair of ints needs no coercion (_point), the common case of hull
+    return _point(x, y) if x.__class__ is int and y.__class__ is int else Point(x, y)
 
 
 def hull(points: Iterable) -> ConvexPolygon:
-    """Convex hull in canonical form; accepts Points or coordinate pairs."""
-    pts = sorted({_as_point(p) for p in points})
+    """Convex hull in canonical form; accepts Points or coordinate pairs.
+
+    The hull is found on integers.  With D the least common denominator
+    of the points' coordinates, the integer pairs D*p are deduplicated,
+    sorted and chained, and the hull's pairs are mapped back to their
+    Points.  Scaling by D > 0 keeps the lexicographic order and the sign
+    of every turn, so the chain picks the same points it would pick
+    among the Points themselves.  A lattice input (D = 1) is chained as
+    its Points.
+    """
+    pts = [_as_point(p) for p in points]
     if not pts:
         raise InvalidInputError("hull of an empty point set")
+    D = _lcd(pts)
+    if D == 1:
+        return ConvexPolygon._trusted(_chain(sorted(set(pts))))
+    points_of = dict(zip(_integral(pts, D), pts))
+    return ConvexPolygon._trusted(tuple(points_of[p] for p in _chain(sorted(points_of))))
+
+
+def _chain(pts: list) -> tuple:
+    """Andrew's monotone chain: the counterclockwise hull of distinct
+    points sorted lexicographically, Points or integer pairs, from the
+    first point, with no three vertices collinear."""
     if len(pts) == 1:
-        return ConvexPolygon._trusted((pts[0],))
-    lo: list[Point] = []
+        return (pts[0],)
+    lo: list = []
     for p in pts:
         while len(lo) >= 2 and _cross(lo[-2], lo[-1], p) <= 0:
             lo.pop()
         lo.append(p)
-    hi: list[Point] = []
+    hi: list = []
     for p in reversed(pts):
         while len(hi) >= 2 and _cross(hi[-2], hi[-1], p) <= 0:
             hi.pop()
         hi.append(p)
-    return ConvexPolygon._trusted(tuple(lo[:-1] + hi[:-1]))
+    return tuple(lo[:-1] + hi[:-1])
 
 
 def _cycle(image: list, flipped: bool) -> tuple:
@@ -143,16 +199,28 @@ def _cycle(image: list, flipped: bool) -> tuple:
     return tuple(image[k:] + image[:k])
 
 
-def _denominator(P: ConvexPolygon) -> int:
-    """The least common denominator D of P's coordinates, 1 for a lattice
-    polygon."""
+def _lcd(points) -> int:
+    """The least common denominator of the Points' coordinates, 1 when
+    they are all integers."""
     D = 1
-    for v in P.vertices:
+    for v in points:
         if v.x.__class__ is not int:
             D = math.lcm(D, v.x.denominator)
         if v.y.__class__ is not int:
             D = math.lcm(D, v.y.denominator)
     return D
+
+
+def _denominator(P: ConvexPolygon) -> int:
+    """The least common denominator D of P's coordinates, 1 for a lattice
+    polygon."""
+    return _lcd(P.vertices)
+
+
+def _integral(points, D: int) -> list[IntVec]:
+    """The integer pairs D*p of Points p whose denominators divide D."""
+    return [(v.x.numerator * (D // v.x.denominator), v.y.numerator * (D // v.y.denominator))
+            for v in points]
 
 
 def _scaled(P: ConvexPolygon) -> tuple[int, ConvexPolygon]:
@@ -165,9 +233,7 @@ def _scaled(P: ConvexPolygon) -> tuple[int, ConvexPolygon]:
     D = _denominator(P)
     if D == 1:
         return 1, P
-    return D, ConvexPolygon._trusted(tuple(
-        _point(v.x.numerator * (D // v.x.denominator),
-               v.y.numerator * (D // v.y.denominator)) for v in P.vertices))
+    return D, ConvexPolygon._trusted(tuple(_point(x, y) for x, y in _integral(P.vertices, D)))
 
 
 def _unscaled(value: int, D: int) -> Coord:
@@ -188,7 +254,7 @@ def area(P: ConvexPolygon) -> Fraction:
 def width(P: ConvexPolygon, u: IntVec) -> Coord:
     """Spread of the linear functional u over P (directional width)."""
     a, b = u
-    if not (isinstance(a, int) and isinstance(b, int)):
+    if type(a) is not int or type(b) is not int:
         raise InvalidInputError("direction must have integer coordinates")
     if a == 0 and b == 0:
         raise InvalidInputError("direction must be nonzero")
@@ -210,7 +276,7 @@ class UnimodularMap:
 
     def __post_init__(self) -> None:
         (a, b), (c, d) = self.matrix
-        if not all(isinstance(e, int) for e in (a, b, c, d)):
+        if not all(type(e) is int for e in (a, b, c, d)):
             raise InvalidInputError("matrix entries must be integers")
         if a * d - b * c not in (1, -1):
             raise InvalidInputError("matrix must have determinant +1 or -1")

@@ -41,7 +41,9 @@ _FLIPS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 # (_report here, oracle._scan and oracle._canonical): enough for the
 # public calls of one query, and of the family members check_bounds
 # compares with, to share one reduction and one scan, and far fewer than
-# any sweep or corpus holds.
+# any sweep or corpus holds.  A lookup costs one cached hash
+# (ConvexPolygon.__hash__): keys no longer re-hash a rational polygon's
+# Fractions on every call.
 _MEMO = 16
 
 

@@ -23,6 +23,7 @@ from latticesize import (
     polygon_to_text,
     width,
 )
+from latticesize.geometry import _cross
 from conftest import random_lattice_polygon, random_rational_polygon, random_unimodular
 
 coords = st.integers(min_value=-6, max_value=6)
@@ -68,6 +69,72 @@ class TestHull:
         assert ConvexPolygon(P.vertices) == P
 
 
+def _reference_hull(points) -> ConvexPolygon:
+    """The earlier hull, kept as the reference for hull: the monotone
+    chain on the normalised Points themselves, in Fraction arithmetic."""
+    pts = sorted({p if isinstance(p, Point) else Point(p[0], p[1]) for p in points})
+    if len(pts) == 1:
+        return ConvexPolygon._trusted((pts[0],))
+    lo: list[Point] = []
+    for p in pts:
+        while len(lo) >= 2 and _cross(lo[-2], lo[-1], p) <= 0:
+            lo.pop()
+        lo.append(p)
+    hi: list[Point] = []
+    for p in reversed(pts):
+        while len(hi) >= 2 and _cross(hi[-2], hi[-1], p) <= 0:
+            hi.pop()
+        hi.append(p)
+    return ConvexPolygon._trusted(tuple(lo[:-1] + hi[:-1]))
+
+
+def _reference_hull_corpus():
+    """Seeded point sets for hull: random points with denominators 1 to
+    12, the same points given as ints, Fractions and floats, collinear
+    runs, vertical and horizontal segments and single points."""
+    rng = random.Random(31)
+    for den in range(1, 13):
+        for k in range(1, 9):
+            for _ in range(6):
+                yield [(Fraction(rng.randint(-4 * den, 4 * den), den),
+                        Fraction(rng.randint(-4 * den, 4 * den), rng.choice((1, den))))
+                       for _ in range(k)]
+    # one value in four spellings, so dedup sees equal points of different types
+    spellings = ((1, Fraction(2, 2), 1.0), (0.5, Fraction(1, 2), Fraction(2, 4)))
+    for _ in range(100):
+        pts = [(rng.choice(rng.choice(spellings)), rng.choice(rng.choice(spellings)))
+               for _ in range(rng.randint(1, 6))]
+        yield pts + [(rng.randint(-1, 2), Fraction(rng.randint(-3, 3), 3))]
+    for den in (1, 2, 3, 5, 12):
+        step = Fraction(rng.randint(1, 5), den)
+        for direction in ((1, 0), (0, 1), (1, 1), (2, -3)):
+            run = [(direction[0] * i * step, direction[1] * i * step) for i in range(-3, 5)]
+            rng.shuffle(run)
+            yield run                                        # a collinear run: a segment
+            yield run + [(Fraction(1, den), Fraction(7, 2))]    # and with a point off it
+        yield [(Fraction(5, den), Fraction(y, den)) for y in (4, -1, 9, 4)]   # vertical
+        yield [(Fraction(x, den), Fraction(-2, den)) for x in (3, 8, -6)]     # horizontal
+        yield [(Fraction(7, den), Fraction(-3, 2 * den))] * 3                 # one point
+        yield [(Fraction(2 * den, den), 0.25)]
+
+
+class TestHullReference:
+    def test_same_vertices_and_types_as_reference(self):
+        cases = list(_reference_hull_corpus())
+        assert len(cases) == 736
+        for pts in cases:
+            got, want = hull(pts), _reference_hull(pts)
+            assert got.vertices == want.vertices, pts
+            assert [type(c) for v in got.vertices for c in v] == \
+                [type(c) for v in want.vertices for c in v], pts
+
+    def test_cross_on_points_and_pairs(self):
+        o, a, b = (Fraction(1, 2), 0), (2, Fraction(1, 3)), (1, 1)
+        assert _cross(Point(*o), Point(*a), Point(*b)) == _cross(o, a, b) == Fraction(4, 3)
+        assert _cross((0, 0), (2, 0), (4, 0)) == 0
+        assert _cross((0, 0), (0, 1), (1, 0)) == -1
+
+
 class TestPolygonValidation:
     def test_no_vertex(self):
         with pytest.raises(InvalidInputError, match="at least one vertex"):
@@ -102,10 +169,8 @@ class TestPolygonValidation:
 
 def _reference_validate(vertices) -> None:
     """The earlier hand-written validator of ConvexPolygon, kept verbatim
-    as the reference for which vertex tuples it accepts."""
-    def _cross(o, a, b):
-        return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
+    as the reference for which vertex tuples it accepts, but for its cross
+    product, which is geometry's."""
     def _edge_group(dx, dy):
         # 0 for directions pointing lexicographically forward, 1 for backward
         return 0 if dx > 0 or (dx == 0 and dy > 0) else 1
@@ -264,6 +329,8 @@ class TestWidth:
     def test_non_integer_rejected(self):
         with pytest.raises(InvalidInputError):
             width(self.quad, (Fraction(1, 2), 1))
+        with pytest.raises(InvalidInputError, match="integer coordinates"):
+            width(hull([(0, 0), (3, 0), (0, 2)]), (True, False))
 
     def test_translation_invariance(self):
         moved = hull((v.x + 5, v.y + 7) for v in self.quad.vertices)
@@ -287,6 +354,8 @@ class TestUnimodularMap:
             UnimodularMap(((1, 0), (0, 2)))
         with pytest.raises(InvalidInputError):
             UnimodularMap(((Fraction(1, 2), 0), (0, 2)))
+        with pytest.raises(InvalidInputError, match="matrix entries must be integers"):
+            UnimodularMap(((True, 0), (0, True)))
 
     def test_rational_translation_flagged(self):
         phi = UnimodularMap(((1, 0), (0, 1)), (Fraction(1, 2), 0))

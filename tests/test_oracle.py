@@ -6,9 +6,11 @@ import importlib.util
 import io
 import itertools
 import pathlib
+import pickle
 import random
 import sys
 import types
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -19,6 +21,7 @@ import latticesize.size
 from latticesize import (
     SIMPLEX,
     SQUARE,
+    ConvexPolygon,
     DegenerateInputError,
     EqualityFamily,
     InvalidInputError,
@@ -43,6 +46,7 @@ from latticesize import (
     width,
 )
 from latticesize import oracle
+from latticesize.enumeration import map_polygons
 from latticesize.geometry import _scaled, _unscaled
 from latticesize.oracle import _cycle, candidate_directions
 from latticesize.size import _MEMO
@@ -373,6 +377,55 @@ class TestMemo:
                 check_bounds(P)
             assert all(memo.cache_info().currsize <= _MEMO for memo in MEMOS), P
         assert all(memo.cache_info().currsize == _MEMO for memo in MEMOS)
+
+    def test_equal_polygons_share_one_entry(self):
+        # an equal polygon hashes alike and hits the same memo entry, however
+        # it was built, its hash cached or not, in this process or a worker
+        rng = random.Random(109)
+        sources = RATIONAL_POLYGONS[:30] + [random_lattice_polygon(rng) for _ in range(10)]
+        pooled = list(map_polygons(canonical_form, sources, 2))
+        swap = ((0, 1), (1, 0))
+        for P, pooled_form in zip(sources, pooled):
+            C = canonical_form(P)
+            hash(C)
+            moved = apply_map(UnimodularMap(swap, (3, -2)), P)
+            for group in ([P, hull(P.vertices), hull((v.x, v.y) for v in P.vertices),
+                           ConvexPolygon(P.vertices), pickle.loads(pickle.dumps(P)),
+                           apply_map(UnimodularMap(swap, (2, -3)), moved)],
+                          [C, canonical_form(apply_map(random_unimodular(rng), P)),
+                           ConvexPolygon(C.vertices), pickle.loads(pickle.dumps(C)),
+                           pooled_form]):
+                assert all(X == group[0] and hash(X) == hash(group[0]) for X in group), P
+                for memo in MEMOS:
+                    memo.cache_clear()
+                for X in group:
+                    invariants(X)
+                info = latticesize.size._report.cache_info()
+                assert (info.currsize, info.hits) == (1, len(group) - 1), P
+
+    def test_query_hashes_fractions_once(self, monkeypatch):
+        # a query looks P up in the memos several times; each lookup must
+        # reuse P's cached hash rather than hash its Fractions again
+        pairs = [(Fraction(1, 3), Fraction(1, 2)), (Fraction(7, 3), Fraction(1, 4)),
+                 (Fraction(11, 3), Fraction(3, 2)), (Fraction(10, 3), Fraction(7, 2)),
+                 (Fraction(4, 3), Fraction(15, 4)), (Fraction(1, 4), Fraction(5, 2))]
+        calls = 0
+        fraction_hash = Fraction.__hash__
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        P = hull(pairs)
+        invariants(P)
+        brute_force_lattice_size(P, SQUARE)
+        brute_force_lattice_size(P, SIMPLEX)
+        check_bounds(P)
+        canonical_form(P)
+        assert len(P.vertices) == 6 and not P.is_lattice
+        assert 0 < calls <= 2 * len(P.vertices)
 
     def test_traced_functions_stay_plain(self):
         # the tracer's self-check reads fn.__code__, which a memo lacks
