@@ -56,9 +56,9 @@ class EqualityFamily(Enum):
 
 
 def thin_triangle(l: int) -> ConvexPolygon:
-    """conv{(0,0),(l,0),(0,1)} for l >= 1."""
-    if l < 1:
-        raise InvalidInputError("thin triangle needs l >= 1")
+    """conv{(0,0),(l,0),(0,1)} for an integer l >= 1."""
+    if type(l) is not int or l < 1:
+        raise InvalidInputError(f"thin triangle needs an integer l >= 1, got {l!r}")
     return hull([(0, 0), (l, 0), (0, 1)])
 
 
@@ -71,10 +71,11 @@ def exceptional_triangle() -> ConvexPolygon:
 
 
 def width_extremal_triangle(w) -> ConvexPolygon:
-    """conv{(0,0),(w,w/2),(w/2,w)}; a lattice polygon when w is even."""
+    """conv{(0,0),(w,w/2),(w/2,w)} for a positive int or Fraction w; a
+    lattice polygon when w is even."""
+    if type(w) not in (int, Fraction) or w <= 0:
+        raise InvalidInputError(f"width must be a positive int or Fraction, got {w!r}")
     half = Fraction(w) / 2
-    if half <= 0:
-        raise InvalidInputError("width must be positive")
     return hull([(0, 0), (2 * half, half), (half, 2 * half)])
 
 

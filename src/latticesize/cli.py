@@ -235,8 +235,8 @@ def _cmd_corpus_check(args) -> int:
         failures.extend(fails)
     classification = []
     for h in range(1, args.n + 1):
-        report = verify_classification(h, limit=max(args.limit, args.n),
-                                       jobs=jobs)
+        # h <= n, and sweeps that small cost less than starting a pool
+        report = verify_classification(h, limit=args.limit)
         classification.append({
             "h": h,
             "classes": len(report.search_classes),

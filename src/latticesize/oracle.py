@@ -2,18 +2,18 @@
 
 The key fact making brute force sound: any unimodular image fitting a
 dilate d of either target has both row widths at most d.  The fast path
-always yields a valid certificate, so searching unimodular pairs of
-directions no wider than that certificate's dilate provably covers every
-map that could do at least as well.  The triangle search reads two flip
-dilates of each unimodular pair whose sum the scan holds, off the stored
-extremes of the three rows, and both searches skip a pair whose larger
-row width is already no better than the best value so far
-(brute_force_lattice_size).
+always yields a valid certificate, so scanning the directions no wider
+than that certificate's dilate provably covers every map that could do
+at least as well.  Both searches read the scan's rows in width order
+(brute_force_lattice_size): the square size is the second least width,
+and the triangle search reads two flip dilates of each unimodular pair
+whose sum the scan holds, off the stored extremes of the three rows,
+and stops once a pair's wider row is at least the best value so far.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
 
 from .errors import DegenerateInputError, InvalidInputError
 from .geometry import (
@@ -114,7 +114,22 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     the direction scan, which any unimodular frame would do as well.  A
     rational polygon is searched as its integer multiple D*P, whose
     dilates are D times those of P.  Both searches read one memoized scan
-    of P's directions (_scan), so a query reduces and scans P once.
+    of P's directions (_scan), so a query reduces and scans P once, and
+    both read its rows sorted by width hi - lo.
+
+    The square size is the second least width among the rows, lambda_2,
+    the second successive minimum of the width norm.  The rows are
+    primitive and pairwise non-parallel, and a direction that is not
+    primitive is a multiple of a primitive one and wider, so lambda_2 is
+    the least value of max(w_u, w_v) over the independent pairs (u, v).
+    The scan holds both minima: lambda_1 <= lambda_2 <= ls_square <=
+    ls_simplex, the scan's cap, as l*T lies in [0, l]^2 for the standard
+    triangle T.  Any unimodular pair is independent, so ls_square >=
+    lambda_2; the fast certificate gives ls_square <= w(u2), the width of
+    the reduced basis' second vector; agreement of the two therefore
+    proves the fast value without any further theorem.  In the plane a
+    Lagrange-Gauss reduced basis attains lambda_1 and lambda_2, so the
+    value is exact.
 
     The triangle search reads only the unimodular pairs (u, v) whose u+v
     the scan holds, and of each the dilates hi(u+v) - lo_u - lo_v and
@@ -133,35 +148,36 @@ def brute_force_lattice_size(P: ConvexPolygon, target: Target) -> Coord:
     stays: (1, 0), (1, 3) and (2, 3) are primitive, with det 3.
 
     Every flip dilate d of a pair is at least both row widths, because
-    the flipped image lies in d*T, inside [0, d]^2; the square value is
-    the larger of the two.  Both searches therefore skip a pair whose
-    larger row width is at least the best value so far.
+    the flipped image lies in d*T, inside [0, d]^2.  In width order the
+    later row of a pair is the wider, so once it is at least the best
+    value so far, the value of every pair left in the inner loop is too,
+    and once the earlier row is, the value of every pair left at all;
+    best only falls, so the search stops there without skipping a pair
+    that could win.
     """
     if P.dim != 2:
         raise DegenerateInputError("exhaustive search needs a full-dimensional polygon")
     if target not in (SQUARE, SIMPLEX):
         raise InvalidInputError(f"unknown target {target!r}")
-    D, rows, square_rows = _scan(P)
+    D, rows, _ = _scan(P)
+    rows = sorted(rows, key=lambda row: row[3] - row[2])
     if target == SQUARE:
-        rows = square_rows
-    else:
-        ends = {u: (lo, hi) for u, _, lo, hi in rows}
-    best = None
+        _, _, lo, hi = rows[1]
+        return _unscaled(hi - lo, D)
+    ends = {u: (lo, hi) for u, _, lo, hi in rows}
+    best = inf
     for i, (u, _, lo_u, hi_u) in enumerate(rows):
+        if hi_u - lo_u >= best:
+            break
         for v, _, lo_v, hi_v in rows[i + 1:]:
+            if hi_v - lo_v >= best:
+                break
             if u[0] * v[1] - u[1] * v[0] not in (1, -1):
                 continue
-            value = max(hi_u - lo_u, hi_v - lo_v)
-            if best is not None and value >= best:
-                continue
-            if target == SIMPLEX:
-                s = ends.get((u[0] + v[0], u[1] + v[1]))
-                if s is None:
-                    continue
-                value = min(s[1] - lo_u - lo_v, hi_u + hi_v - s[0])
-            if best is None or value < best:
-                best = value
-    assert best is not None  # the certificate of the cap is always searched
+            s = ends.get((u[0] + v[0], u[1] + v[1]))
+            if s is not None:
+                best = min(best, s[1] - lo_u - lo_v, hi_u + hi_v - s[0])
+    assert best < inf  # the certificate of the cap is always searched
     return _unscaled(best, D)
 
 
@@ -175,10 +191,11 @@ def _scan(P: ConvexPolygon) -> tuple:
     products of u with D*P's vertices and lo, hi their extremes, so u's
     width is hi - lo.
 
-    The triangle search takes every entry, reading the flip dilates of
-    each unimodular pair whose sum the scan holds off the stored extremes
-    of the pair and the sum, and the square search and the canonical form
-    take square_rows, the entries no wider than D*ls_square(P), which are
+    Both searches take every entry: the square search reads the second
+    least width, and the triangle search the flip dilates of each
+    unimodular pair whose sum the scan holds, off the stored extremes of
+    the pair and the sum.  The canonical form takes square_rows, the
+    entries no wider than D*ls_square(P), which are
     exactly candidate_directions(D*P, D*ls_square(P), basis) in the same
     order: ls_square <= ls_simplex, as l*T lies in [0, l]^2 for the
     standard triangle T, so every direction within the square cap is

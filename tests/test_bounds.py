@@ -34,18 +34,19 @@ from conftest import (
 class TestConstructors:
     def test_thin(self):
         assert thin_triangle(3) == hull([(0, 0), (3, 0), (0, 1)])
-        with pytest.raises(InvalidInputError):
-            thin_triangle(0)
+        for bad in (0, -1, 2.5, 3.0, True, "3", None):
+            with pytest.raises(InvalidInputError):
+                thin_triangle(bad)
 
     def test_width_extremal(self):
         assert width_extremal_triangle(4) == hull([(0, 0), (4, 2), (2, 4)])
         P = width_extremal_triangle(3)
         assert area(P) == Fraction(27, 8)
         assert not P.is_lattice
-        with pytest.raises(InvalidInputError):
-            width_extremal_triangle(0)
-        with pytest.raises(InvalidInputError):
-            width_extremal_triangle(-2)
+        assert width_extremal_triangle(Fraction(3)) == P
+        for bad in (0, -2, Fraction(-1, 2), 3.0, True, "x", "3", None):
+            with pytest.raises(InvalidInputError):
+                width_extremal_triangle(bad)
 
     def test_exceptional_matches_even_width_two(self):
         assert exceptional_triangle() == width_extremal_triangle(2)

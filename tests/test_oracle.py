@@ -481,6 +481,16 @@ class TestBruteForce:
         assert brute_force_lattice_size(thin, SQUARE) == 4
         assert brute_force_lattice_size(thin, SIMPLEX) == 4
 
+    def test_long_thin_triangle(self):
+        # the scan holds l + 2 directions, l + 1 of width l; read in width
+        # order, the searches stop after the first pair of width l rather
+        # than reading all of the scan's pairs
+        P = thin_triangle(20_000)
+        for Q in (P, apply_map(UnimodularMap(((1, 7919), (0, 1))), P)):
+            rep = invariants(Q)
+            assert brute_force_lattice_size(Q, SQUARE) == rep.ls_square == 20_000
+            assert brute_force_lattice_size(Q, SIMPLEX) == rep.ls_simplex == 20_000
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInputError):
             brute_force_lattice_size(hull([(0, 0), (3, 0)]), SQUARE)

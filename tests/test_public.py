@@ -1,5 +1,8 @@
-"""The public surface: the names latticesize exports in __all__."""
+"""The public surface: the names latticesize exports in __all__, and the
+README's commands that reach into the tests."""
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +100,25 @@ def test_zero_runtime_dependencies():
     # __mp_main__ is multiprocessing's alias of the running script
     script = {"__main__", "__mp_main__"}
     assert loaded - set(sys.stdlib_module_names) - script == {"latticesize"}
+
+
+# a README line that runs an audit helper of a test module
+_AUDIT = re.compile(r"PYTHONPATH=src:tests python -c \"import (test_\w+) as t; "
+                    r"print\(t\.(_audit_\w+)\(\d+\)\)\"")
+
+
+def test_readme_audits_name_existing_helpers():
+    # each one-liner names a helper of its module whose docstring gives it
+    root = Path(__file__).resolve().parents[1]
+    lines = [line for line in (root / "README.md").read_text(encoding="utf-8").splitlines()
+             if "t._audit_" in line]
+    assert lines
+    for line in lines:
+        match = _AUDIT.fullmatch(line)
+        assert match, line
+        module, name = match.groups()
+        tree = ast.parse((root / "tests" / f"{module}.py").read_text(encoding="utf-8"))
+        helpers = {f.name: ast.get_docstring(f) or "" for f in tree.body
+                   if isinstance(f, ast.FunctionDef)}
+        assert name in helpers, line
+        assert line in helpers[name], line
