@@ -130,7 +130,8 @@ def _cmd_oracle(args) -> int:
     payload = {}
     ok = True
     for target in targets:
-        fast = rep.ls_square if target == SQUARE else rep.ls_simplex
+        fast, cert = ((rep.ls_square, rep.cert_square) if target == SQUARE
+                      else (rep.ls_simplex, rep.cert_simplex))
         searched = brute_force_lattice_size(P, target)
         agree = searched == fast
         ok = ok and agree
@@ -139,6 +140,9 @@ def _cmd_oracle(args) -> int:
             "search": str(searched),
             "agree": agree,
         }
+        if not agree:
+            # the witness: the map behind the fast value
+            payload[target]["certificate"] = _cert_json(cert)
     payload["agree"] = ok
     _emit(payload)
     return 0 if ok else 2
@@ -206,11 +210,14 @@ def _check_corpus_polygon(P: ConvexPolygon) -> list[str]:
     for cert in (rep.cert_square, rep.cert_simplex):
         if not cert.verify(P):
             failures.append(f"{where}: {cert.target} certificate does not hold")
-    for target, fast in ((SQUARE, rep.ls_square), (SIMPLEX, rep.ls_simplex)):
+    for target, fast, cert in ((SQUARE, rep.ls_square, rep.cert_square),
+                               (SIMPLEX, rep.ls_simplex, rep.cert_simplex)):
         got = brute_force_lattice_size(P, target)
         if got != fast:
+            tx, ty = cert.map.translation
             failures.append(
-                f"{where}: fast {target} size {fast} != search {got}")
+                f"{where}: fast {target} size {fast} != search {got}, certificate "
+                f"matrix {cert.map.matrix} translation ({tx}, {ty})")
     b = check_bounds(P)
     for name, slack in (("wh", b.slack_wh), ("wl", b.slack_wl),
                         ("simplex", b.slack_simplex), ("square", b.slack_square)):

@@ -5,6 +5,13 @@ polygon has interior), so the classical shortest-pair loop applies: shift
 the wider basis vector by the best multiple of the narrower one, swap
 while that strictly helps.  All tie-breaking is fixed, which makes the
 output basis deterministic.
+
+argmin_shift finds each best multiple k.  It starts from an estimate of
+k read off the two vertices extreme along the narrower vector u1, then
+gallops and bisects on the convex width along u2 + k*u1.  A search costs
+O(log(2 + w(u2')/w(u1))) widths, where u2' = u2 + k*u1 is the shifted
+vector: it follows the polygon's shape, not the size of k.  A box
+sheared by 10**40 takes 13 widths, where a search from k = 0 takes 531.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ class LatticeBasis:
     def __post_init__(self) -> None:
         object.__setattr__(self, "u1", tuple(self.u1))
         object.__setattr__(self, "u2", tuple(self.u2))
-        if self.det not in (1, -1):
+        if not _integers(self.u1, self.u2) or self.det not in (1, -1):
             raise InvalidInputError("basis must have determinant +1 or -1")
 
     @property
@@ -34,8 +41,14 @@ class LatticeBasis:
         return self.u1[0] * self.u2[1] - self.u1[1] * self.u2[0]
 
 
+def _integers(u1: IntVec, u2: IntVec) -> bool:
+    # all four entries ints: a float or a bool could pass the determinant
+    # test.  One chained comparison, as argmin_shift checks every call.
+    return type(u1[0]) is type(u1[1]) is type(u2[0]) is type(u2[1]) is int
+
+
 def _check_unimodular(u1: IntVec, u2: IntVec) -> None:
-    if u1[0] * u2[1] - u1[1] * u2[0] not in (1, -1):
+    if not _integers(u1, u2) or u1[0] * u2[1] - u1[1] * u2[0] not in (1, -1):
         raise InvalidInputError("directions must form a unimodular pair")
 
 
@@ -47,11 +60,26 @@ def argmin_shift(P: ConvexPolygon, u1: IntVec, u2: IntVec) -> int:
     from k = 0 in at most one direction: k = 1 is tried first and k = -1
     only when that does not drop, and if neither drops the answer is 0.
     Along the dropping direction the steps w(j+1) - w(j) never decrease,
-    and the answer is the first j whose step does not drop: j = 1 is
-    tested first, then j doubles until such a step turns up, then a
-    bisection on the sign of the step finds the first.  Widths are
-    computed once per k, O(log |k|) of them in all, and a shift of 0 or
-    +-1 costs at most 4.
+    and the answer is the least j whose step does not drop (stops(j)).
+    j = 1 is tested first, so a shift of 0 or +-1 costs at most 4
+    widths.
+
+    Past j = 1 the search starts where the answer must lie, not at 0.
+    Let v and v' be vertices of P greatest and least along u1, so that
+    w1 = u1.(v - v') is width(P, u1), and let d = u2.(v - v').  The
+    width along u2 + t*u1 is at least its spread over v and v', so
+    w(t) >= |d + t*w1| for every real t.  A drop needs w1 > 0, since
+    w1 = 0 makes the width constant in k; so every real minimiser t
+    lies within w(t)/w1 of t0 = -d/w1.  Let u2' = u2 + k*u1 be the
+    answer's direction and m = w(u2') the least width.  The least real
+    minimiser a of w(sign*j) lies within m/w1 of sign*t0, and the
+    answer, the least integer j with stops(j), lies in (a - 1, a + 1),
+    so within m/w1 + 2 of floor(sign*t0).  The search gallops from there,
+    clamped to j >= 1, with steps 1, 2, 4, ... until stops changes, then
+    bisects between the last two points; it finds the same least root
+    as a search from 0.  Widths are computed once per k, O(log(2 +
+    m/w1)) of them in all: the cost follows the polygon's shape, not
+    the size of k.
     """
     _check_unimodular(u1, u2)
     widths: dict[int, Coord] = {}
@@ -72,9 +100,26 @@ def argmin_shift(P: ConvexPolygon, u1: IntVec, u2: IntVec) -> int:
         # the step from sign*j to sign*(j+1) does not drop
         return shifted(sign * (j + 1)) >= shifted(sign * j)
 
-    lo, hi = 0, 1   # stops(lo) is false
-    while not stops(hi):
-        lo, hi = hi, 2 * hi
+    if stops(1):
+        return sign
+    vs = P.vertices
+    dots = [u1[0] * v.x + u1[1] * v.y for v in vs]
+    top, low = dots.index(max(dots)), dots.index(min(dots))
+    w1 = dots[top] - dots[low]   # > 0, as the width dropped
+    d = u2[0] * (vs[top].x - vs[low].x) + u2[1] * (vs[top].y - vs[low].y)
+    lo, hi = 1, max(1, (-sign * d) // w1)   # stops(lo) is false
+    step = 1
+    if stops(hi):   # gallop down to a j > lo that does not stop, or to lo
+        while hi - step > lo and stops(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(lo, hi - step)
+    else:           # gallop up to a j that stops
+        lo = hi
+        while not stops(lo + step):
+            lo += step
+            step *= 2
+        hi = lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if stops(mid):

@@ -373,6 +373,8 @@ class TestVerificationFailures:
                             lambda P, target: real(P, target) + 1)
 
     def test_oracle_disagreement(self, monkeypatch, capsys, pentagon_file):
+        assert latticesize.cli.main(["invariants", pentagon_file]) == 0
+        certs = json.loads(capsys.readouterr().out)
         self._patch_search(monkeypatch)
         code = latticesize.cli.main(["oracle", pentagon_file])
         data = json.loads(capsys.readouterr().out)
@@ -381,6 +383,8 @@ class TestVerificationFailures:
             got = data[target]
             assert got["agree"] is False
             assert Fraction(got["search"]) == Fraction(got["fast"]) + 1
+            # the witness is the fast certificate invariants prints
+            assert got["certificate"] == certs[f"cert_{target}"]
 
     def test_negative_bound_slack(self, monkeypatch, capsys, pentagon_file):
         real = latticesize.cli.check_bounds
@@ -421,8 +425,12 @@ class TestVerificationFailures:
         self._patch_search(monkeypatch)
         data = self._corpus_check(capsys)
         assert data["failure_count"] == 10
-        assert data["failures"][0] == "0,0;1,0;0,1: fast square size 1 != search 2"
-        assert data["failures"][1] == "0,0;1,0;0,1: fast simplex size 1 != search 2"
+        assert data["failures"][0] == ("0,0;1,0;0,1: fast square size 1 != search 2, "
+                                       "certificate matrix ((1, 0), (0, 1)) translation (0, 0)")
+        assert data["failures"][1] == ("0,0;1,0;0,1: fast simplex size 1 != search 2, "
+                                       "certificate matrix ((1, 0), (0, 1)) translation (0, 0)")
+        assert data["failures"][3] == ("0,0;1,0;1,1: fast simplex size 1 != search 2, "
+                                       "certificate matrix ((-1, 0), (0, 1)) translation (1, 0)")
 
     def test_corpus_negative_slack(self, monkeypatch, capsys):
         self._patch_bounds(monkeypatch, slack_wl=-1)

@@ -42,6 +42,13 @@ class TestLatticeBasis:
         with pytest.raises(InvalidInputError):
             LatticeBasis((2, 1), (4, 2))
 
+    @pytest.mark.parametrize("u1, u2", [
+        ((1.0, 0), (0, 1)), ((1, 0), (0, 1.0)), ((True, 0), (0, True)), ((1, False), (0, 1))],
+        ids=["float-u1", "float-u2", "bool-both", "bool-u1"])
+    def test_non_int_entries_rejected(self, u1, u2):
+        with pytest.raises(InvalidInputError, match="determinant"):
+            LatticeBasis(u1, u2)
+
 
 class TestArgminShift:
     def test_already_optimal(self):
@@ -63,6 +70,13 @@ class TestArgminShift:
     def test_non_unimodular_rejected(self):
         with pytest.raises(InvalidInputError):
             argmin_shift(quad, (1, 0), (2, 0))
+
+    @pytest.mark.parametrize("u1, u2", [
+        ((1.0, 0), (0, 1)), ((1, 0), (0.0, 1)), ((True, 0), (0, 1)), ((1, 0), (False, 1))],
+        ids=["float-u1", "float-u2", "bool-u1", "bool-u2"])
+    def test_non_int_entries_rejected(self, u1, u2):
+        with pytest.raises(InvalidInputError, match="unimodular"):
+            argmin_shift(quad, u1, u2)
 
     def test_matches_scan(self):
         rng = random.Random(23)
@@ -97,6 +111,84 @@ def _walk_shift(P, u1, u2):
         best = nxt
 
 
+def _doubling_shift(P, u1, u2):
+    """The search from k = 0 that argmin_shift replaced, kept as its
+    reference: after the sign test, double j until stops(j), then bisect."""
+    widths = {}
+
+    def shifted(k):
+        if k not in widths:
+            widths[k] = width(P, (u2[0] + k * u1[0], u2[1] + k * u1[1]))
+        return widths[k]
+
+    if shifted(1) < shifted(0):
+        sign = 1
+    elif shifted(-1) < shifted(0):
+        sign = -1
+    else:
+        return 0
+
+    def stops(j):
+        return shifted(sign * (j + 1)) >= shifted(sign * j)
+
+    lo, hi = 0, 1
+    while not stops(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stops(mid):
+            hi = mid
+        else:
+            lo = mid
+    return sign * hi
+
+
+def _random_pair(rng, e):
+    """The rows of a product of one to four shears, each log-uniform in
+    [1, 10**e] with either sign, and swaps: a unimodular pair."""
+    m = ((1, 0), (0, 1))
+    for _ in range(rng.randint(1, 4)):
+        k = rng.choice((1, -1)) * int(10 ** rng.uniform(0, e))
+        if rng.random() < 0.5:
+            m = ((m[0][0] + k * m[1][0], m[0][1] + k * m[1][1]), m[1])
+        else:
+            m = (m[0], (m[1][0] + k * m[0][0], m[1][1] + k * m[0][1]))
+        if rng.random() < 0.3:
+            m = (m[1], m[0])
+    return m
+
+
+def _audit_shift_search(e):
+    """argmin_shift against _doubling_shift on seeded polygons of {0..6}^2
+    under random unimodular maps with shears up to 10**e, searched along
+    the axes in both orders: (cases, disagreements, most width calls in
+    one search).  Outside the tests, run it as
+    PYTHONPATH=src:tests python -c "import test_reduction as t; print(t._audit_shift_search(12))"
+    """
+    rng = random.Random(61)
+    calls = []
+
+    def counting(P, u):
+        calls.append(u)
+        return width(P, u)
+
+    cases = wrong = most = 0
+    for _ in range(50_000):
+        Q = random_lattice_polygon(rng, span=6, points=rng.randint(3, 8))
+        P = apply_map(UnimodularMap(_random_pair(rng, e)), Q)
+        for u1, u2 in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
+            calls.clear()
+            reduction.width = counting
+            try:
+                k = argmin_shift(P, u1, u2)
+            finally:
+                reduction.width = width
+            most = max(most, len(calls))
+            cases += 1
+            wrong += k != _doubling_shift(P, u1, u2)
+    return cases, wrong, most
+
+
 class TestShiftSearch:
     def test_matches_walk_on_seeded_shears(self):
         rng = random.Random(59)
@@ -110,6 +202,24 @@ class TestShiftSearch:
             # and a random unimodular pair
             u1, u2 = random_unimodular(rng, shear=30).matrix
             assert argmin_shift(P, u1, u2) == _walk_shift(P, u1, u2)
+
+    def test_matches_doubling_on_huge_shears(self):
+        rng = random.Random(67)
+        for _ in range(600):
+            P = random_lattice_polygon(rng, span=rng.randint(1, 6))
+            u1, u2 = _random_pair(rng, 12)
+            assert argmin_shift(P, u1, u2) == _doubling_shift(P, u1, u2)
+            assert argmin_shift(P, u2, u1) == _doubling_shift(P, u2, u1)
+
+    @pytest.mark.parametrize("P", [
+        hull([(0, 0), (7, 0), (7, 2), (0, 2)]), hull([(0, 0), (1, 0), (1, 9), (0, 9)]),
+        # the widths along (k, 1) are 3 for k in -1..2
+        hull([(0, 0), (0, 3), (1, 1)])], ids=["box7x2", "box1x9", "plateau"])
+    def test_matches_doubling_on_sheared_plateaus(self, P):
+        for e in range(13):
+            for k in (10**e, -10**e, 3 * 10**e + 1):
+                for u1, u2 in (((0, 1), (1, k)), ((1, 0), (k, 1)), ((1, 1), (k, k + 1))):
+                    assert argmin_shift(P, u1, u2) == _doubling_shift(P, u1, u2)
 
     def test_matches_walk_on_plateaus(self):
         box = hull([(0, 0), (7, 0), (7, 2), (0, 2)])
@@ -128,6 +238,16 @@ class TestShiftSearch:
         k = 10**12
         assert argmin_shift(box, (0, 1), (1, k)) == -k
         assert len(width_calls) <= 4 * k.bit_length() + 3
+
+    @pytest.mark.parametrize("e", [3, 6, 12, 40])
+    @pytest.mark.parametrize("P", [hull([(0, 0), (5, 0), (5, 1), (0, 1)]), pentagon],
+                             ids=["box", "pentagon"])
+    def test_shear_costs_a_fixed_number_of_widths(self, width_calls, P, e):
+        # _doubling_shift takes 39, 79, 159 and 531 widths here
+        want = _doubling_shift(P, (0, 1), (1, 10**e))
+        width_calls.clear()
+        assert argmin_shift(P, (0, 1), (1, 10**e)) == want
+        assert len(width_calls) <= 13
 
 
 class TestGaussReduce:
@@ -155,7 +275,7 @@ class TestGaussReduce:
         assert gauss_reduce(hull([(7, -2)])) == LatticeBasis((1, 0), (0, 1))
 
     @pytest.mark.parametrize("matrix, want", [
-        (((1, 0), (0, 1)), 10), (((1, 7), (0, 1)), 19), (((1, 0), (40, 1)), 32)])
+        (((1, 0), (0, 1)), 10), (((1, 7), (0, 1)), 15), (((1, 0), (40, 1)), 16)])
     def test_widths_carried_across_rounds(self, width_calls, monkeypatch, matrix, want):
         # gauss_reduce measures the two axes, then only each shifted u2;
         # every other width is argmin_shift's own
