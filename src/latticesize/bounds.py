@@ -24,13 +24,34 @@ polygon before it, so this ends at a minimal M inside P of square size h.
   inclusion, so 2A(P) >= 2A(M).  If the two are equal, P = M, since a
   convex M inside P with the same area is P.
 
-At h = 1 the segment is the only class.  For h = 2..14 every
-full-dimensional class has 2A >= 2h - 1 > h, so the bound holds with
-equality only for the thin triangle.  That range is verified: the
-exhaustive sweep (verify_classification) has been run up to h = 14 and
-finds exactly the family classes, and
-test_square_bound_over_the_minimal_classes checks their areas.  Beyond
-h = 14 the reduction rests on the paper's classification.
+At h = 1 the segment is the only class.  The full-dimensional classes
+are the triangles conv{(0,0),(a,h),(h,b)} and the quadrilaterals
+conv{(a,0),(0,b),(h,h-c),(h-d,h)}, parameters in 1..h-1, and [0, h]^2
+less their corner triangles gives their areas:
+
+    triangle:       2A = h^2 - ab
+    quadrilateral:  2A = h^2 - (h-p)(h-q),  p = a + d, q = b + c
+
+A triangle has a, b <= h - 1, so 2A >= h^2 - (h-1)^2 = 2h - 1, with
+equality exactly at a = b = h - 1.  A quadrilateral has p and q in
+[2, 2h - 2], so 2A >= h^2 - (h-2)^2 = 4h - 4 > 2h - 1 for h >= 2.  So
+every full-dimensional class has 2A >= 2h - 1 > h, and 2A >= h holds
+with equality only for the thin triangle.
+
+The same reduction sharpens the bound for a P of square size h >= 2
+that holds no lattice segment of lattice length h: M is then not the
+segment, so 2A >= 2A(M) >= 2h - 1, with equality exactly when P = M is
+T_h = conv{(0,0),(h-1,h),(h,h-1)} up to equivalence.  T_h qualifies: it
+holds h + 2 lattice points (Pick), so a segment of lattice length h in
+it would be an edge, and its edges are primitive.  T_2 is the
+exceptional triangle.
+
+Both arguments need the classification to be complete, and that is
+verified for h <= 14: the exhaustive sweep (verify_classification) has
+been run up to h = 14 and finds exactly the family classes, and
+test_square_bound_over_the_minimal_classes and
+test_long_segment_free_bound check the areas.  Beyond h = 14 both rest
+on the paper's classification.
 """
 from __future__ import annotations
 
@@ -39,7 +60,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DegenerateInputError, InvalidInputError
-from .geometry import ConvexPolygon, Coord, _denominator, _unscaled, hull
+from .geometry import ConvexPolygon, Coord, _lcd, _unscaled, hull
 from .oracle import lattice_equivalent
 from .size import _report
 
@@ -128,7 +149,7 @@ def check_bounds(P: ConvexPolygon) -> BoundsReport:
     if P.dim != 2:
         raise DegenerateInputError("bounds apply to full-dimensional polygons")
     rep = _report(P)
-    D = _denominator(P)
+    D = _lcd(P.vertices)
     # twice the area and the three sizes of D*P, all integers
     t = _times(rep.area, 2 * D * D)
     w, h, l = _times(rep.width, D), _times(rep.ls_square, D), _times(rep.ls_simplex, D)

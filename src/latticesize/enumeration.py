@@ -214,10 +214,10 @@ class _Grid:
     order, and a point's index i there is its bit 1 << i in a point set
     held as an int.  far[i] is the set of points that span a segment of
     lattice length at least n with point i, in the sweep's mode, and
-    empty otherwise.  sectors[diff(dx, dy)] is the _sector of each
-    nonzero difference of two grid points, and pinned is the pinned
-    rule's table: _PINNED in the sweep's mode, and all true otherwise,
-    so that outside it the rule drops nothing.  successors[b *
+    empty otherwise.  sectors maps each nonzero difference (dx, dy) of
+    two grid points to its _sector, and pinned is the pinned rule's
+    table: _PINNED in the sweep's mode, and all true otherwise, so that
+    outside it the rule drops nothing.  successors[b *
     len(points) + c] is filled on first use with the points w that
     follow the edge from point b to point c (see _grow), each as (w, its
     two coordinates, its bit, its far set, the index of the edge c -> w,
@@ -233,18 +233,14 @@ class _Grid:
         self.points = points = [(x, y) for x in range(n + 1) for y in range(n + 1)]
         self.far = [sum(1 << j for j, (x, y) in enumerate(points) if gcd(x - px, y - py) >= n)
                     if sweep else 0 for px, py in points]
-        self.sectors = [_sector(dx, dy) if dx or dy else None
-                        for dx in range(-n, n + 1) for dy in range(-n, n + 1)]
+        self.sectors = {(dx, dy): _sector(dx, dy)
+                        for dx in range(-n, n + 1) for dy in range(-n, n + 1) if dx or dy}
         self.pinned = _PINNED if sweep else (True,) * 256
         self.successors = [None] * len(points) ** 2
         self.records = [None] * len(points)
 
     def __reduce__(self):
         return _shared_grid, (self.n, self.anchored, self.sweep)
-
-    def diff(self, dx: int, dy: int) -> int:
-        """The index of the difference (dx, dy) in sectors."""
-        return (dx + self.n) * (2 * self.n + 1) + dy + self.n
 
     def starts(self) -> Iterator[tuple]:
         """The walk's starts in its order: (v0,) for the lone point v0
@@ -290,7 +286,7 @@ class _Grid:
         j = w[0] * side + w[1]
         right = sum(1 << k for k, (x, y) in enumerate(points) if fx * (y - y0) - fy * (x - x0) <= 0)
         banned = ((1 << i) - 1 | right | band | self.far[i] | self.far[j]
-                  | unpins[self.sectors[self.diff(fx, fy)]])
+                  | unpins[self.sectors[fx, fy]])
         yield from _grow(self, [v0, w], i * len(points) + j,
                          min(y0 if self.anchored else 0, w[1]), banned, ends,
                          w[0], max(y0, w[1]))
@@ -326,7 +322,7 @@ class _Grid:
             elif k >= i and reach >> k & 1 and not (high and y):
                 targets |= 1 << k
             if k != i:
-                back[self.sectors[self.diff(x0 - x, y0 - y)]] |= 1 << k
+                back[self.sectors[x0 - x, y0 - y]] |= 1 << k
         ends = [sum(back[t] for t in range(16) if not pinned[s * 16 + t]) for s in range(16)]
         unpins = [sum(back[t] for t in range(16) if not pinned[t * 16 + s]) for s in range(16)]
         self.records[i] = band, targets, ends, unpins
@@ -343,12 +339,12 @@ class _Grid:
         lx, ly = cx - bx, cy - by
         backward = C < B
         sectors, pinned = self.sectors, self.pinned
-        turn = sectors[self.diff(lx, ly)] * 16
+        turn = sectors[lx, ly] * 16
         row = []
         for k, w in enumerate(self.points):
             wx, wy = w
             if lx * (wy - cy) - ly * (wx - cx) > 0 and not (backward and w > C):
-                sector = sectors[self.diff(wx - cx, wy - cy)]
+                sector = sectors[wx - cx, wy - cy]
                 if pinned[turn + sector]:
                     row.append((w, wx, wy, 1 << k, self.far[k], c * size + k, sector))
         self.successors[edge] = row

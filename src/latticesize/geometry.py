@@ -7,12 +7,13 @@ counterclockwise, no three collinear, starting at the lexicographically
 smallest vertex (_cycle rotates a mapped cycle into it).  Structural
 equality of polygons is therefore geometric equality.  Computations on
 a rational polygon P run on its integer multiple D*P, D the least common
-denominator of its coordinates (_scaled): lattice_points scans D*P in
-integers, and the size and oracle modules measure D*P.  hull, too, runs
-its monotone chain on the integer pairs D*p of its input and maps the
-result back to the input's Points.  A polygon hashes its vertices once,
-on first use, and keeps the value, so the memos keyed by polygons hash
-a Fraction coordinate once per polygon, not once per lookup.
+denominator of its coordinates (_scaled): lattice_points scans the
+columns of D*P, each edge bounding the columns it spans, and the size
+and oracle modules measure D*P.  hull, too, runs its monotone chain on
+the integer pairs D*p of its input and maps the result back to the
+input's Points.  A polygon hashes its vertices once, on first use, and
+keeps the value, so the memos keyed by polygons hash a Fraction
+coordinate once per polygon, not once per lookup.
 """
 from __future__ import annotations
 
@@ -211,12 +212,6 @@ def _lcd(points) -> int:
     return D
 
 
-def _denominator(P: ConvexPolygon) -> int:
-    """The least common denominator D of P's coordinates, 1 for a lattice
-    polygon."""
-    return _lcd(P.vertices)
-
-
 def _integral(points, D: int) -> list[IntVec]:
     """The integer pairs D*p of Points p whose denominators divide D."""
     return [(v.x.numerator * (D // v.x.denominator), v.y.numerator * (D // v.y.denominator))
@@ -230,7 +225,7 @@ def _scaled(P: ConvexPolygon) -> tuple[int, ConvexPolygon]:
     a positive number keeps both the lexicographic order and the
     orientation.  A lattice polygon comes back as (1, P) itself.
     """
-    D = _denominator(P)
+    D = _lcd(P.vertices)
     if D == 1:
         return 1, P
     return D, ConvexPolygon._trusted(tuple(_point(x, y) for x, y in _integral(P.vertices, D)))
@@ -310,52 +305,41 @@ def lattice_points(P: ConvexPolygon) -> list[Point]:
 
     P is scanned as its integer multiple S = D*P (see _scaled): the
     integer points of P are the points of S with both coordinates
-    divisible by D, divided by D.  A point or a vertical segment of S
-    lies in one column.  Otherwise the lower chain runs from S's first
-    vertex along the edges heading right and the upper chain from the
-    top-left vertex back along the edges heading left (a segment is both
-    chains); both span every column from the smallest x to the largest.
-    Only the columns x = D*X are scanned, and a column's points are the
-    multiples of D between the lower chain and the upper one: the chain
-    heights are rounded up and down to multiples of D by one integer
-    division each.  Columns ascend and each column ascends, so the output
-    is sorted as it is made.
+    divisible by D, divided by D.  Only the columns x = D*X between S's
+    least and largest x are scanned, and a column's points are the
+    multiples of D between its lower and upper bound, which start at
+    S's least and largest y.  Each edge a -> b of S's counterclockwise
+    cycle then bounds the columns it spans, by one integer division
+    each: an edge heading right (dx > 0) lies on the lower chain and
+    sets their lower bound to its height rounded up, one heading left
+    (dx < 0) lies on the upper chain and sets their upper bound to its
+    height rounded down, and a vertical edge sets nothing.
+
+    No case is special.  A point or a vertical segment has no edge with
+    dx != 0, so its box bounds are the answer.  A segment that is not
+    vertical has two edges, which give the same line from both sides.
+    Otherwise each chain is x-monotone over S's whole x range, so every
+    column gets one bound from an edge of the lower chain that spans it
+    and one from an edge of the upper chain; two edges that meet at a
+    vertex's column both give the vertex's height there.  Columns ascend
+    and each column ascends, so the output is sorted as it is made.
     """
     D, S = _scaled(P)
     vs = S.vertices
-    n = len(vs)
-    if n <= 2 and vs[-1].x == vs[0].x:
-        x = vs[0].x
-        if x % D:
-            return []
-        return [_point(x // D, y) for y in range(-(-vs[0].y // D), vs[-1].y // D + 1)]
-    lower = [vs[0]]
-    for v in vs[1:]:
-        if v.x <= lower[-1].x:
-            break
-        lower.append(v)
-    # the top-left vertex is vs[-1] when a vertical edge runs down to vs[0]
-    top = n - 1 if vs[-1].x == vs[0].x else n
-    upper = [vs[top % n]]
-    for v in reversed(vs[:top]):
-        if v.x <= upper[-1].x:
-            break
-        upper.append(v)
-    out: list[Point] = []
-    li = ui = 0
-    for X in range(-(-vs[0].x // D), lower[-1].x // D + 1):
-        x = X * D
-        while lower[li + 1].x < x:
-            li += 1
-        while upper[ui + 1].x < x:
-            ui += 1
-        a, b = lower[li], lower[li + 1]
-        c, d = upper[ui], upper[ui + 1]
-        # the two chains' heights at x, over D, rounded up and down
-        lo = -(((b.y - a.y) * (a.x - x) - a.y * (b.x - a.x)) // ((b.x - a.x) * D))
-        hi = (c.y * (d.x - c.x) + (d.y - c.y) * (x - c.x)) // ((d.x - c.x) * D)
-        out.extend(_point(X, y) for y in range(lo, hi + 1))
-    return out
+    x0 = -(-vs[0].x // D)
+    n = max(v.x for v in vs) // D - x0 + 1
+    lo = [-(-min(v.y for v in vs) // D)] * n
+    hi = [max(v.y for v in vs) // D] * n
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        dx, dy = b.x - a.x, b.y - a.y
+        # the edge's height at x = X*D, over D, is (a.y*dx + dy*(X*D - a.x)) / (dx*D)
+        if dx > 0:
+            for X in range(-(-a.x // D), b.x // D + 1):
+                lo[X - x0] = -((a.y * dx + dy * (X * D - a.x)) // (-dx * D))
+        elif dx < 0:
+            for X in range(-(-b.x // D), a.x // D + 1):
+                hi[X - x0] = (a.y * dx + dy * (X * D - a.x)) // (dx * D)
+    return [_point(X, y) for X, l, h in zip(range(x0, x0 + n), lo, hi) for y in range(l, h + 1)]
 
 
 def _point(x: int, y: int) -> Point:

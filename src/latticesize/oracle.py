@@ -28,6 +28,7 @@ from .geometry import (
     _norm,
     _scaled,
     _unscaled,
+    apply_map,
     area,
     drop_vertex,
     hull,
@@ -300,13 +301,21 @@ def is_minimal(P: ConvexPolygon) -> bool:
     that vertex's drop, and square size is monotone under inclusion, so
     single drops decide minimality.
 
-    h is read off P's memoized report (_report), which canonical_form
-    then reuses.  The h-sweep decides the same question on integers
-    (minimal._sweep_one), and the tests check it against this.
+    h and the square certificate are read off P's memoized report
+    (_report), which canonical_form then reuses.  A unimodular map
+    carries lattice points, drops and square sizes to their images, so
+    P is minimal exactly when its image Q under the certificate's map
+    is, and Q lies in [0, h]^2: each drop's lattice scan costs what Q's
+    size costs, however skewed P's coordinates are.  The drops are still
+    measured by the reduction (ls_square); the h-sweep decides the same
+    question on integers (minimal._sweep_one), and the tests check it
+    against this.
     """
     if not P.is_lattice:
         raise InvalidInputError("minimality is about lattice polygons")
     if len(P.vertices) == 1:
         return True
-    h = _report(P).ls_square
-    return all(ls_square(drop_vertex(P, v)) < h for v in P.vertices)
+    report = _report(P)
+    h = report.ls_square
+    Q = apply_map(report.cert_square.map, P)
+    return all(ls_square(drop_vertex(Q, v)) < h for v in Q.vertices)

@@ -42,8 +42,7 @@ _FLIPS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 # public calls of one query, and of the family members check_bounds
 # compares with, to share one reduction and one scan, and far fewer than
 # any sweep or corpus holds.  A lookup costs one cached hash
-# (ConvexPolygon.__hash__): keys no longer re-hash a rational polygon's
-# Fractions on every call.
+# (ConvexPolygon.__hash__).
 _MEMO = 16
 
 

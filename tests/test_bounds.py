@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,7 +21,10 @@ from latticesize import (
     invariants,
     is_minimal,
     lattice_equivalent,
+    lattice_points,
     ls_square,
+    minimal_families,
+    realize,
     thin_triangle,
     unit_square,
     width_extremal_triangle,
@@ -178,6 +183,42 @@ def test_square_bound_over_the_minimal_classes():
             assert families == [EqualityFamily.WIDTH_EXTREMAL_TRIANGLE]
         else:
             assert families == []
+
+
+def _longest_segment(P):
+    """The largest lattice length of a segment between two lattice points
+    of P."""
+    pts = lattice_points(P)
+    return max(gcd(q.x - p.x, q.y - p.y) for p, q in itertools.combinations(pts, 2))
+
+
+def test_long_segment_free_bound():
+    """The module docstring's area identities hold on every family member
+    for h = 2..15.  Over the full-dimensional classes of {0..4}^2, the 240
+    of square size h >= 2 that hold no lattice segment of lattice length
+    h have 2A >= 2h - 1, with equality exactly on the class of
+    T_h = conv{(0,0),(h-1,h),(h,h-1)}, once for each h = 2, 3, 4."""
+    for h in range(2, 16):
+        for f in minimal_families(h):
+            twice = 2 * area(realize(f))
+            if f.kind == "triangle":
+                a, b = f.params
+                assert twice == h * h - a * b, f
+            elif f.kind == "quad":
+                a, b, c, d = f.params
+                assert twice == h * h - (h - a - d) * (h - b - c), f
+    count, tight = 0, []
+    for P in enumerate_classes(4):
+        h = ls_square(P)
+        if h < 2 or _longest_segment(P) >= h:
+            continue
+        count += 1
+        assert 2 * area(P) >= 2 * h - 1, P
+        T = hull([(0, 0), (h - 1, h), (h, h - 1)])
+        assert (2 * area(P) == 2 * h - 1) == lattice_equivalent(P, T), P
+        if 2 * area(P) == 2 * h - 1:
+            tight.append(h)
+    assert (count, sorted(tight)) == (240, [2, 3, 4])
 
 
 def test_thin_triangle_drops_to_the_segment():

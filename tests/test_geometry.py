@@ -593,6 +593,17 @@ class TestAgainstBruteForce:
             pts = lattice_points(P)
             assert _pairs(pts) == _brute_points(P), P
             assert all(type(p.x) is int and type(p.y) is int for p in pts)
+        # rational boxes, with a vertical edge at both ends; polygons whose
+        # x range holds no integer, so no column is scanned; and triangles
+        # with a vertical edge at the right end only
+        for _ in range(40):
+            (x0, x1), (y0, y1, y2) = sorted([coord(), coord()]), sorted([coord() for _ in range(3)])
+            k, d = rng.randint(-10, 9), rng.randint(2, 7)
+            for P in [hull([(x0, y0), (x1, y0), (x1, y2), (x0, y2)]),
+                      hull((Fraction(rng.randint(k * d + 1, k * d + d - 1), d), coord())
+                           for _ in range(rng.randint(1, 4))),
+                      hull([(x0, y1), (x1, y0), (x1, y2)])]:
+                assert _pairs(lattice_points(P)) == _brute_points(P), P
         # single points, rational or not
         for p in [(Fraction(1, 3), Fraction(5, 2)), (Fraction(-7, 4), 2),
                   (-3, Fraction(-1, 2)), (Fraction(-6, 3), 3)]:

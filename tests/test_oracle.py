@@ -16,6 +16,7 @@ from math import gcd
 import pytest
 
 import latticesize.cli
+import latticesize.geometry
 import latticesize.reduction
 import latticesize.size
 from latticesize import (
@@ -653,3 +654,20 @@ class TestIsMinimal:
 
     def test_matches_all_drops(self):
         assert all(is_minimal(P) == _reference_is_minimal(P) for P in self.grid_and_images())
+
+    def test_skewed_polygon_scans_its_image(self, monkeypatch):
+        """A shear of the unit triangle is decided on its image in
+        [0, h]^2: every polygon whose lattice points are listed has an x
+        span of at most h, not the 10^6 of the sheared input."""
+        seen = []
+        scan = latticesize.geometry.lattice_points
+
+        def recording(P):
+            seen.append(P)
+            return scan(P)
+
+        monkeypatch.setattr(latticesize.geometry, "lattice_points", recording)
+        P = hull([(0, 0), (1, 0), (10**6, 1)])
+        assert not is_minimal(P)
+        h = ls_square(P)
+        assert seen and all(width(Q, (1, 0)) <= h for Q in seen)
