@@ -19,7 +19,7 @@ import os
 import re
 import sys
 
-from .bounds import EqualityFamily, check_bounds
+from .bounds import EqualityFamily, check_bounds, width_extremal_triangle
 from .enumeration import DEFAULT_GRID_LIMIT, enumerate_classes, enumerate_convex, map_polygons
 from .errors import InvalidInputError, ResourceLimitError
 from .geometry import (
@@ -123,18 +123,32 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+def _sizes(rep) -> tuple:
+    return ((SQUARE, rep.ls_square, rep.cert_square),
+            (SIMPLEX, rep.ls_simplex, rep.cert_simplex))
+
+
+def _slacks(b) -> tuple:
+    return (("wh", b.slack_wh), ("wl", b.slack_wl),
+            ("simplex", b.slack_simplex), ("square", b.slack_square))
+
+
+def _classification(report) -> dict:
+    return {
+        "h": report.h,
+        "classes": len(report.search_classes),
+        "match": report.matches,
+    }
+
+
 def _cmd_oracle(args) -> int:
     P = _read_polygon(args.file)
-    rep = invariants(P)
-    targets = (SQUARE, SIMPLEX) if args.target == "both" else (args.target,)
     payload = {}
-    ok = True
-    for target in targets:
-        fast, cert = ((rep.ls_square, rep.cert_square) if target == SQUARE
-                      else (rep.ls_simplex, rep.cert_simplex))
+    for target, fast, cert in _sizes(invariants(P)):
+        if args.target not in (target, "both"):
+            continue
         searched = brute_force_lattice_size(P, target)
         agree = searched == fast
-        ok = ok and agree
         payload[target] = {
             "fast": str(fast),
             "search": str(searched),
@@ -143,22 +157,17 @@ def _cmd_oracle(args) -> int:
         if not agree:
             # the witness: the map behind the fast value
             payload[target]["certificate"] = _cert_json(cert)
-    payload["agree"] = ok
+    payload["agree"] = all(row["agree"] for row in payload.values())
     _emit(payload)
-    return 0 if ok else 2
+    return 0 if payload["agree"] else 2
 
 
 def _cmd_verify_bounds(args) -> int:
-    rep = check_bounds(_read_polygon(args.file))
-    _emit({
-        "slack_wh": str(rep.slack_wh),
-        "slack_wl": str(rep.slack_wl),
-        "slack_simplex": None if rep.slack_simplex is None else str(rep.slack_simplex),
-        "slack_square": None if rep.slack_square is None else str(rep.slack_square),
-        "equality_family": rep.equality_family.value if rep.equality_family else None,
-    })
-    slacks = (rep.slack_wh, rep.slack_wl, rep.slack_simplex, rep.slack_square)
-    if any(s is not None and s < 0 for s in slacks):
+    b = check_bounds(_read_polygon(args.file))
+    payload = {f"slack_{name}": None if s is None else str(s) for name, s in _slacks(b)}
+    payload["equality_family"] = b.equality_family.value if b.equality_family else None
+    _emit(payload)
+    if any(s is not None and s < 0 for _, s in _slacks(b)):
         print("error: a bound reported negative slack", file=sys.stderr)
         return 2
     return 0
@@ -192,26 +201,21 @@ def _cmd_minimal(args) -> int:
         return 0
     report = verify_classification(args.h, limit=args.limit, jobs=_jobs(args))
     _emit({
-        "h": report.h,
-        "classes": len(report.search_classes),
+        **_classification(report),
         "family_classes": [_poly_line(P) for P in report.family_classes],
         "search_classes": [_poly_line(P) for P in report.search_classes],
         "only_in_families": [_poly_line(P) for P in report.only_in_families],
         "only_in_search": [_poly_line(P) for P in report.only_in_search],
-        "match": report.matches,
     })
     return 0 if report.matches else 2
 
 
 def _check_corpus_polygon(P: ConvexPolygon) -> list[str]:
     where = _poly_line(P)
-    failures = []
     rep = invariants(P)
-    for cert in (rep.cert_square, rep.cert_simplex):
-        if not cert.verify(P):
-            failures.append(f"{where}: {cert.target} certificate does not hold")
-    for target, fast, cert in ((SQUARE, rep.ls_square, rep.cert_square),
-                               (SIMPLEX, rep.ls_simplex, rep.cert_simplex)):
+    failures = [f"{where}: {cert.target} certificate does not hold"
+                for _, _, cert in _sizes(rep) if not cert.verify(P)]
+    for target, fast, cert in _sizes(rep):
         got = brute_force_lattice_size(P, target)
         if got != fast:
             tx, ty = cert.map.translation
@@ -219,8 +223,7 @@ def _check_corpus_polygon(P: ConvexPolygon) -> list[str]:
                 f"{where}: fast {target} size {fast} != search {got}, certificate "
                 f"matrix {cert.map.matrix} translation ({tx}, {ty})")
     b = check_bounds(P)
-    for name, slack in (("wh", b.slack_wh), ("wl", b.slack_wl),
-                        ("simplex", b.slack_simplex), ("square", b.slack_square)):
+    for name, slack in _slacks(b):
         if slack is not None and slack < 0:
             failures.append(f"{where}: negative {name} slack {slack}")
     simplex_families = (EqualityFamily.THIN_TRIANGLE, EqualityFamily.UNIT_SQUARE,
@@ -229,6 +232,13 @@ def _check_corpus_polygon(P: ConvexPolygon) -> list[str]:
         failures.append(f"{where}: simplex equality does not match its family")
     if (b.slack_square == 0) != (b.equality_family is EqualityFamily.THIN_TRIANGLE):
         failures.append(f"{where}: square equality does not match its family")
+    # membership, not the label: at w = 2 the member is the exceptional
+    # triangle; equivalence keeps area and width, so only a triangle with
+    # 8A = 3w^2 can be one
+    member = (len(P.vertices) == 3 and 8 * rep.area == 3 * rep.width ** 2
+              and lattice_equivalent(P, width_extremal_triangle(rep.width)))
+    if (b.slack_wh == 0 or b.slack_wl == 0) != member:
+        failures.append(f"{where}: width equality does not match the width-extremal triangle")
     return failures
 
 
@@ -244,11 +254,7 @@ def _cmd_corpus_check(args) -> int:
     for h in range(1, args.n + 1):
         # h <= n, and sweeps that small cost less than starting a pool
         report = verify_classification(h, limit=args.limit)
-        classification.append({
-            "h": h,
-            "classes": len(report.search_classes),
-            "match": report.matches,
-        })
+        classification.append(_classification(report))
         if not report.matches:
             failures.append(f"classification mismatch at h={h}")
         # the sweep decides square size and minimality on integers; the

@@ -28,6 +28,8 @@ Kind = Literal["segment", "triangle", "quad"]
 
 DEFAULT_CLASSIFY_LIMIT = 5
 
+_ARITY = {"segment": 0, "triangle": 2, "quad": 4}  # parameters per family kind
+
 
 def _check_params(h: int, params: tuple[int, ...]) -> None:
     if type(h) is not int or h < 1:
@@ -53,19 +55,14 @@ class MinimalFamily:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(self.params))
-        if self.kind == "segment":
-            expected = 0
-        elif self.kind == "triangle":
-            expected = 2
-        elif self.kind == "quad":
-            expected = 4
-        else:
+        if not isinstance(self.kind, str) or self.kind not in _ARITY:
             raise InvalidInputError(f"unknown family kind {self.kind!r}")
+        expected = _ARITY[self.kind]
         if len(self.params) != expected:
             raise InvalidInputError(
                 f"{self.kind} family takes {expected} parameters")
         _check_params(self.h, self.params)
-        if self.kind == "triangle" and not triangle_minimal(self.h, *self.params):
+        if self.kind == "triangle" and sum(self.params) < self.h:
             raise InvalidInputError("triangle family needs a + b >= h")
         if self.kind == "quad":
             a, b, c, d = self.params
@@ -119,8 +116,7 @@ def minimal_families(h: int) -> Iterator[MinimalFamily]:
     triangle parameter pair is unordered up to the diagonal mirror), so
     class counting must deduplicate downstream.
     """
-    if type(h) is not int or h < 1:
-        raise InvalidInputError("square size must be a positive integer")
+    _check_params(h, ())
     yield MinimalFamily("segment", h)
     for a in range(1, h):
         for b in range(max(1, h - a), h):

@@ -9,7 +9,14 @@ from fractions import Fraction
 import pytest
 
 import latticesize.cli
-from latticesize import EqualityFamily, UnimodularMap, hull
+from latticesize import (
+    EqualityFamily,
+    UnimodularMap,
+    enumerate_convex,
+    hull,
+    lattice_equivalent,
+    width_extremal_triangle,
+)
 
 CLI = [sys.executable, "-m", "latticesize.cli"]
 
@@ -458,6 +465,32 @@ class TestVerificationFailures:
         assert all(f.endswith(": square equality does not match its family")
                    for f in data["failures"])
 
+    def test_corpus_width_equality_without_member(self, monkeypatch, capsys):
+        # every polygon of {0..1}^2 has width 1, so none is equivalent to
+        # the width-extremal triangle
+        self._patch_bounds(monkeypatch, slack_wh=0)
+        data = self._corpus_check(capsys)
+        assert data["failure_count"] == 5
+        assert data["failures"][0] == \
+            "0,0;1,0;0,1: width equality does not match the width-extremal triangle"
+        assert all(f.endswith(": width equality does not match the width-extremal triangle")
+                   for f in data["failures"])
+
+    def test_corpus_width_member_without_equality(self, monkeypatch, capsys):
+        # with both width slacks off zero, exactly the members fail: at
+        # w = 2 the member is reported as the exceptional triangle
+        self._patch_bounds(monkeypatch, slack_wh=1, slack_wl=1)
+        code = latticesize.cli.main(["corpus-check", "--n", "2", "--jobs", "1"])
+        data = json.loads(capsys.readouterr().out)
+        members = [latticesize.cli._poly_line(P) for P in enumerate_convex(2)
+                   if lattice_equivalent(P, width_extremal_triangle(2))]
+        # the four images of conv{(0,0),(2,1),(1,2)} under the box's symmetries
+        assert members == ["0,0;2,1;1,2", "0,1;1,0;2,2", "0,1;2,0;1,2", "0,2;1,0;2,1"]
+        assert code == 2 and data["failure_count"] == len(members)
+        assert data["failures"] == [
+            f"{m}: width equality does not match the width-extremal triangle"
+            for m in members]
+
     def test_corpus_classification_mismatch(self, monkeypatch, capsys):
         real = latticesize.cli.verify_classification
         monkeypatch.setattr(
@@ -512,6 +545,19 @@ class TestJobsVariable:
         assert r.returncode == 1
         assert r.stdout == ""
         assert "LATTICESIZE_JOBS" in r.stderr and "Traceback" not in r.stderr
+
+
+class TestHelp:
+    @pytest.mark.parametrize("sub", [
+        "invariants", "oracle", "verify-bounds", "canonical", "equivalent",
+        "enumerate", "minimal", "corpus-check",
+    ])
+    def test_subcommand_help(self, sub, capsys):
+        with pytest.raises(SystemExit) as info:
+            latticesize.cli.main([sub, "--help"])
+        out = capsys.readouterr().out
+        assert info.value.code == 0
+        assert out.startswith(f"usage: latticesize {sub}")
 
 
 class TestExitCodes:

@@ -86,6 +86,26 @@ class TestFamilyValidation:
         with pytest.raises(InvalidInputError):
             MinimalFamily("segment", True)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: MinimalFamily("pentagon", 3, ()), "unknown family kind 'pentagon'"),
+        (lambda: MinimalFamily(["quad"], 3, ()), "unknown family kind ['quad']"),
+        (lambda: MinimalFamily("triangle", 3, (1, 2, 2)), "triangle family takes 2 parameters"),
+        (lambda: MinimalFamily("segment", 2, (1,)), "segment family takes 0 parameters"),
+        (lambda: MinimalFamily("quad", 3, (2, 2)), "quad family takes 4 parameters"),
+        (lambda: MinimalFamily("segment", 0), "square size must be a positive integer"),
+        (lambda: MinimalFamily("triangle", 3, (0, 2)),
+         "family parameters must be integers in 1..2"),
+        (lambda: MinimalFamily("triangle", 3, (1, 1)), "triangle family needs a + b >= h"),
+        (lambda: MinimalFamily("quad", 4, (1, 1, 1, 1)),
+         "quad family needs min(a,b) + min(c,d) > h"),
+        (lambda: list(minimal_families(0)), "square size must be a positive integer"),
+        (lambda: list(minimal_families(True)), "square size must be a positive integer"),
+    ])
+    def test_messages(self, make, message):
+        with pytest.raises(InvalidInputError) as info:
+            make()
+        assert str(info.value) == message
+
 
 class TestPredicates:
     def test_triangle(self):
