@@ -60,8 +60,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DegenerateInputError, InvalidInputError
-from .geometry import ConvexPolygon, Coord, _lcd, _unscaled, hull
-from .oracle import lattice_equivalent
+from .geometry import ConvexPolygon, Coord, _lcd, _unscaled, area, hull
+from .oracle import canonical_form
 from .size import _report
 
 
@@ -116,25 +116,75 @@ class BoundsReport:
     equality_family: EqualityFamily | None
 
 
+def _has_form(P: ConvexPolygon, form: ConvexPolygon) -> bool:
+    """Whether P is unimodularly equivalent to a polygon whose canonical
+    form is form.  Equivalence keeps the vertex count and the area, so
+    those reject first, and a P that cannot match never builds its own
+    form; otherwise the forms coincide exactly when the two are
+    equivalent (canonical_form)."""
+    return (len(P.vertices) == len(form.vertices) and area(P) == area(form)
+            and canonical_form(P) == form)
+
+
 def extremal_family(P: ConvexPolygon) -> EqualityFamily | None:
     """Match a lattice polygon against the four equality families.
 
     Equivalence fixes the family parameter (the triangle size for the
-    thin family, the lattice width for the width-extremal one), so each
-    test is a single canonical-form comparison.
+    thin family, the lattice width for the width-extremal one), and each
+    member's canonical form is written down below, so each test compares
+    P's form with a written one and no member's form is built.  The
+    canonical form of P is the least vertex tuple, in canonical vertex
+    order, among the unimodular images of P translated to both coordinate
+    minima zero that lie in [0, h]^2, h the square size of P.  A written
+    form F of a member M is an image of M in that square, so it is M's
+    form once no such image is smaller than F.  Tuples compare vertex by
+    vertex.  An image starts at its least vertex (0, c), and one with
+    c > 0 is larger than any F below, which all start at (0, 0).  Only
+    the last vertex counterclockwise can lie above (0, c) on the y-axis,
+    so every other vertex has x > 0.
+
+    - Thin triangle: the form of thin_triangle(l) is conv{(0,0),(1,0),
+      (0,l)}, the member's image under the swap of the axes.  A lattice
+      image starts at (0, c) >= (0, 0), and its next vertex has x >= 1,
+      so it is >= (1, 0).  Once the two are (0, 0) and (1, 0), area l/2
+      puts the third vertex at y = l, so it is >= (0, l).  No image, in
+      the square or not, is smaller.
+    - Unit square: unit_square() is its own form.  A lattice image
+      starts at a vertex >= (0, 0), then one >= (1, 0).  Its third
+      vertex is not the last, so it has x >= 1, and it is >= (1, 1).
+      Once the three are (0,0), (1,0), (1,1), area 1 puts the fourth on
+      y = x + 1 with x >= 0, so it is >= (0, 1).
+    - Exceptional triangle: exceptional_triangle(), of square size 2, is
+      its own form, by a finite check in [0, 2]^2.  Take an image that
+      starts at (0, 0).  With its second vertex (1, b), area 3/2 puts
+      the third at height 3 + b*x >= 3, x its abscissa; with (2, 0), at
+      height 3/2.  So the second vertex is (2, 1) or (2, 2).  After
+      (2, 1), area 3/2 asks 2y - x = 3 of the third vertex (x, y), whose
+      only solution in the square is (1, 2).  The square matters:
+      conv{(0,0),(1,0),(2,3)} is a smaller image, outside it.
+    - Width-extremal triangle: width_extremal_triangle(w) is w/2 times
+      the exceptional triangle.  Scaling by a positive rational commutes
+      with unimodular maps, with translating to minima zero and with
+      the lexicographic order, and it scales the square size, so the
+      form of cP is c times the form of P.  So the member is its own
+      form for every w > 0, rational w included, which check_bounds
+      uses on rational polygons.
+
+    The tests pin the four forms and the module's audit compares these
+    labels with lattice_equivalent against the members.
     """
     if not P.is_lattice:
         raise InvalidInputError("family membership is tested for lattice polygons")
     report = _report(P)
     l = report.ls_simplex
-    if l >= 1 and lattice_equivalent(P, thin_triangle(l)):
+    if l >= 1 and _has_form(P, hull([(0, 0), (1, 0), (0, l)])):
         return EqualityFamily.THIN_TRIANGLE
-    if l == 2 and lattice_equivalent(P, unit_square()):
+    if l == 2 and _has_form(P, unit_square()):
         return EqualityFamily.UNIT_SQUARE
-    if l == 3 and lattice_equivalent(P, exceptional_triangle()):
+    if l == 3 and _has_form(P, exceptional_triangle()):
         return EqualityFamily.EXCEPTIONAL_TRIANGLE
     w = report.width
-    if w >= 2 and w % 2 == 0 and lattice_equivalent(P, width_extremal_triangle(w)):
+    if w >= 2 and w % 2 == 0 and _has_form(P, width_extremal_triangle(w)):
         return EqualityFamily.WIDTH_EXTREMAL_TRIANGLE
     return None
 
@@ -169,7 +219,8 @@ def check_bounds(P: ConvexPolygon) -> BoundsReport:
         family = None
         if slack_wh == 0 or slack_wl == 0:
             # the width bounds are tight only on this family, up to a
-            # unimodular map and a rational translation
-            if lattice_equivalent(P, width_extremal_triangle(rep.width)):
+            # unimodular map and a rational translation; the member is its
+            # own canonical form (extremal_family)
+            if _has_form(P, width_extremal_triangle(rep.width)):
                 family = EqualityFamily.WIDTH_EXTREMAL_TRIANGLE
     return BoundsReport(slack_wh, slack_wl, slack_simplex, slack_square, family)

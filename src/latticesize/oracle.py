@@ -258,11 +258,13 @@ def _least_image(rows) -> tuple:
 
 
 def canonical_form(P: ConvexPolygon) -> ConvexPolygon:
-    """Lexicographically smallest unimodular image with coordinate minima zero.
+    """Lexicographically smallest unimodular image with coordinate minima
+    zero inside the corner square [0, h]^2, h the square size.
 
     Two polygons are unimodularly equivalent exactly when their canonical
-    forms coincide, and the canonical form of a lattice polygon with
-    square size h sits inside the corner square of side h.  The images of
+    forms coincide.  The square is part of the definition: the form of
+    the exceptional triangle is conv{(0,0),(2,1),(1,2)}, while its image
+    conv{(0,0),(1,0),(2,3)}, outside [0, 2]^2, is smaller.  The images of
     a rational polygon are compared as those of its integer multiple D*P,
     which are D times larger and so ordered alike.
     """

@@ -39,9 +39,8 @@ _FLIPS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 # Polygons whose report, direction scan and canonical form stay memoized
 # (_report here, oracle._scan and oracle._canonical): enough for the
-# public calls of one query, and of the family members check_bounds
-# compares with, to share one reduction and one scan, and far fewer than
-# any sweep or corpus holds.  A lookup costs one cached hash
+# public calls of one query to share one reduction and one scan, and far
+# fewer than any sweep or corpus holds.  A lookup costs one cached hash
 # (ConvexPolygon.__hash__).
 _MEMO = 16
 

@@ -1,19 +1,23 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import latticesize.oracle
 from latticesize import (
     DegenerateInputError,
     EqualityFamily,
     InvalidInputError,
     apply_map,
     area,
+    canonical_form,
     check_bounds,
     drop_vertex,
     enumerate_classes,
+    enumerate_convex,
     exceptional_triangle,
     extremal_family,
     generate_minimal,
@@ -264,3 +268,87 @@ class TestExtremalFamily:
     def test_non_lattice_rejected(self):
         with pytest.raises(InvalidInputError):
             extremal_family(width_extremal_triangle(3))
+
+    def test_point_and_segments(self, monkeypatch):
+        # the vertex count rejects them in front of any form comparison:
+        # canonical_form, replaced in every package module that binds it,
+        # is never reached
+        form = latticesize.oracle.canonical_form
+
+        def unreachable(P):
+            raise AssertionError(f"canonical form of {P}")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "latticesize" and getattr(module, "canonical_form", None) is form:
+                monkeypatch.setattr(module, "canonical_form", unreachable)
+        assert extremal_family(hull([(2, 3)])) is None
+        for k in range(1, 5):
+            assert extremal_family(hull([(0, 0), (k, 0)])) is None
+            assert extremal_family(hull([(1, 1), (1 + k, 1 + 2 * k)])) is None
+
+
+class TestWrittenForms:
+    """The canonical forms extremal_family compares with, each argued in
+    its docstring."""
+
+    def test_thin_triangle(self):
+        for l in range(1, 41):
+            assert canonical_form(thin_triangle(l)) == hull([(0, 0), (1, 0), (0, l)]), l
+
+    def test_unit_square_and_exceptional_triangle(self):
+        for M in (unit_square(), exceptional_triangle()):
+            assert canonical_form(M) == M
+
+    def test_width_extremal_triangle(self):
+        widths = [*range(2, 41, 2), *(Fraction(k, q) for k in range(1, 13) for q in range(1, 6))]
+        for w in widths:
+            M = width_extremal_triangle(w)
+            assert canonical_form(M) == M, w
+
+
+def _reference_family(P):
+    """The equality family of a full-dimensional P by lattice_equivalent
+    against the members themselves, in extremal_family's order; a
+    rational P can only be a width-extremal triangle, of any positive
+    width."""
+    rep = invariants(P)
+    l, w = rep.ls_simplex, rep.width
+    if not P.is_lattice:
+        member = lattice_equivalent(P, width_extremal_triangle(w))
+        return EqualityFamily.WIDTH_EXTREMAL_TRIANGLE if member else None
+    if lattice_equivalent(P, thin_triangle(l)):
+        return EqualityFamily.THIN_TRIANGLE
+    if l == 2 and lattice_equivalent(P, unit_square()):
+        return EqualityFamily.UNIT_SQUARE
+    if l == 3 and lattice_equivalent(P, exceptional_triangle()):
+        return EqualityFamily.EXCEPTIONAL_TRIANGLE
+    if w % 2 == 0 and lattice_equivalent(P, width_extremal_triangle(w)):
+        return EqualityFamily.WIDTH_EXTREMAL_TRIANGLE
+    return None
+
+
+def _audit_family_labels(n):
+    """check_bounds(P).equality_family against _reference_family on every
+    full-dimensional polygon of enumerate_convex(n), and on each of them
+    scaled by 1/2 and by 1/3, which takes the rational branch unless the
+    scaled polygon is again a lattice one: (polygons, tight,
+    disagreements), tight counting the polygons with a zero slack, the
+    only ones whose family check_bounds looks for.  Outside the tests,
+    run it as
+    PYTHONPATH=src:tests python -c "import test_bounds as t; print(t._audit_family_labels(4))"
+    """
+    count, tight, disagreements = 0, 0, 0
+    for P in enumerate_convex(n):
+        if P.dim != 2:
+            continue
+        for s in (1, Fraction(1, 2), Fraction(1, 3)):
+            Q = hull((v.x * s, v.y * s) for v in P.vertices)
+            rep = check_bounds(Q)
+            count += 1
+            tight += 0 in (rep.slack_wh, rep.slack_wl, rep.slack_simplex, rep.slack_square)
+            disagreements += rep.equality_family is not _reference_family(Q)
+    return count, tight, disagreements
+
+
+def test_family_labels_match_the_members():
+    assert _audit_family_labels(2) == (504, 93, 0)

@@ -45,6 +45,7 @@ from latticesize import (
     thin_triangle,
     verify_classification,
     width,
+    width_extremal_triangle,
 )
 from latticesize import oracle
 from latticesize.enumeration import map_polygons
@@ -305,12 +306,34 @@ class TestOneReduction:
         assert scanned == [pentagon, quad, _scaled(RATIONAL_POLYGONS[5])[1]]
 
     def test_tight_query_reduces_each_polygon_once(self, monkeypatch):
-        # check_bounds compares a tight P with its family member, whose
-        # canonical form needs one reduction of its own
+        # check_bounds compares a tight P's canonical form with its
+        # family's written form, so no family member is reduced
         P = apply_map(UnimodularMap(((1, 3), (0, 1)), (2, -1)), thin_triangle(4))
         polygons = _count_reductions(monkeypatch)
         assert _query(P)[3].equality_family is EqualityFamily.THIN_TRIANGLE
-        assert polygons == [P, thin_triangle(4)]
+        assert polygons == [P]
+
+    def test_tight_bounds_build_only_their_own_form(self, monkeypatch):
+        # a tight lattice polygon and a tight rational width-extremal
+        # image: check_bounds builds the canonical form of P and of no
+        # family member
+        built = []
+        canonical = oracle._canonical
+
+        def recorded(P):
+            built.append(P)
+            return canonical(P)
+
+        monkeypatch.setattr(oracle, "_canonical", recorded)
+        m = UnimodularMap(((1, 3), (0, 1)), (2, -1))
+        for M, family in ((thin_triangle(4), EqualityFamily.THIN_TRIANGLE),
+                          (width_extremal_triangle(4), EqualityFamily.WIDTH_EXTREMAL_TRIANGLE),
+                          (width_extremal_triangle(Fraction(3, 2)),
+                           EqualityFamily.WIDTH_EXTREMAL_TRIANGLE)):
+            P = apply_map(m, M)
+            built.clear()
+            assert check_bounds(P).equality_family is family
+            assert built and set(built) == {P}, M
 
     def test_sweep_class_reduces_once(self, monkeypatch):
         # the sweep's minimality test and canonical form share one report
