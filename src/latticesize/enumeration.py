@@ -505,8 +505,13 @@ def _has_smaller_image(vs: tuple) -> bool:
     or with the swap from y = 0 or y = Y, so c' is the least other
     coordinate of the vertices there, or the span less the greatest when
     the image mirrors that coordinate.  An image with c' < c is smaller
-    and one with c' > c is larger, so only one with c' = c is built and
-    compared in full.
+    and one with c' > c is larger.  One with c' = c starts at vs[0] too,
+    and its second vertex is read off before it is built: it is the image
+    of the neighbour of the vertex mapped to (0, c), the next vertex when
+    the symmetry keeps the orientation and the previous one when _image
+    reverses the cycle.  A second vertex below vs[1] makes the image
+    smaller and one above it larger, so only an image that ties on both
+    vertices is built and compared in full.
     """
     xs, ys = zip(*vs)
     X, Y = max(xs), max(ys)
@@ -518,9 +523,24 @@ def _has_smaller_image(vs: tuple) -> bool:
     firsts = (Y - max(left), min(right), Y - max(right), min(bottom), X - max(bottom),
               min(top), X - max(top))
     c = vs[0][1]
-    return min(firsts) < c or any(
-        first == c and _image(vs, X, Y, symmetry) < vs
-        for first, symmetry in zip(firsts, _SYMMETRIES))
+    if min(firsts) < c:
+        return True
+    if len(vs) == 1:
+        return False    # a point is its only image
+    for first, (swap, fx, fy) in zip(firsts, _SYMMETRIES):
+        if first != c:
+            continue
+        # the vertex mapped to (0, c), in the image's box [0, A] x [0, B]
+        A, B = (Y, X) if swap else (X, Y)
+        x, y = A if fx else 0, B - c if fy else c
+        p = vs.index((y, x) if swap else (x, y))
+        x, y = vs[p - 1] if swap ^ fx ^ fy else vs[(p + 1) % len(vs)]
+        if swap:
+            x, y = y, x
+        second = (A - x if fx else x, B - y if fy else y)
+        if second < vs[1] or second == vs[1] and _image(vs, X, Y, (swap, fx, fy)) < vs:
+            return True
+    return False
 
 
 def enumerate_classes(n: int, include_degenerate: bool = False,

@@ -229,32 +229,57 @@ def _least_image(rows) -> tuple:
     which case it is reversed; rotating it to start at its lexicographic
     minimum then gives the tuple hull would return (_cycle).
 
-    That tuple starts at (0, c), c the least translated y among the
-    vertices on the image's x-minimum, and c is read off the rows before
-    the image is built: an image whose c exceeds that of the best tuple
-    so far is larger than it, and is skipped.
+    Image tuples compare lexicographically, vertex by vertex, so an image
+    whose first two vertices are larger than the least such pair over all
+    the images is not the least one: only the images that tie on that
+    pair are built, after one pass over the candidates, and the least of
+    them returned.  Both vertices are read off the rows.  The image of
+    x-row u and y-row v under signs sx, sy is (sx*du - mx, sy*dv - my),
+    mx and my the translations to minima zero.  Its x-minimum face is
+    u's minimum face (on_lo) for sx = +1 and its maximum face (on_hi) for
+    sx = -1; a strictly convex polygon meets a supporting line in one
+    vertex or in one edge, so the face holds one or two vertices.  The
+    first vertex (0, c) is the image of the face vertex p of least image
+    y, the least dv for sy = +1 and the greatest for sy = -1, so
+    c = sy*dv[p] - my.  The second is the image of p's neighbour q in the
+    image's counterclockwise order, (sx*du[q] - mx, sy*dv[q] - my):
+    _cycle reverses the cycle when det*sx*sy < 0, so q = p + 1 (mod n)
+    when det*sx*sy > 0 and q = p - 1 otherwise.  A candidate whose c
+    exceeds that of the least pair so far is skipped first.
     """
-    # each row with the vertices on its minimum and on its maximum
-    ends = [(u, d, lo, hi, [i for i, t in enumerate(d) if t == lo],
-             [i for i, t in enumerate(d) if t == hi]) for u, d, lo, hi in rows]
-    best, least = None, None    # the best tuple so far and its c
-    for u, du, lo_u, hi_u, on_lo, on_hi in ends:
-        for v, dv, lo_v, hi_v, _, _ in ends:
-            det = u[0] * v[1] - u[1] * v[0]
+    # each row with its two signs as an x-row: the sign, the translation
+    # and the first and last vertex on the image's x-minimum
+    ends = []
+    for u, d, lo, hi in rows:
+        on_lo = [i for i, t in enumerate(d) if t == lo]
+        on_hi = [i for i, t in enumerate(d) if t == hi]
+        ends.append((u, d, lo, hi,
+                     ((1, lo, on_lo[0], on_lo[-1]), (-1, -hi, on_hi[0], on_hi[-1]))))
+    n = len(rows[0][1])
+    # the least (c, second vertex) so far, its c, and the images that reach it
+    least, key, ties = inf, None, []
+    for (u0, u1), du, _, _, signs in ends:
+        for (v0, v1), dv, lo_v, hi_v, _ in ends:
+            det = u0 * v1 - u1 * v0
             if det not in (1, -1):
                 continue
-            for sx, mx, edge in ((1, lo_u, on_lo), (-1, -hi_u, on_hi)):
-                # the y-row of the vertices on the image's x-minimum
-                column = [dv[i] for i in edge]
-                for sy, my in ((1, lo_v), (-1, -hi_v)):
-                    c = min(column) - lo_v if sy > 0 else hi_v - max(column)
-                    if best is not None and c > least:
+            for sx, mx, low, high in signs:
+                # the face vertices of least and of greatest dv
+                if dv[low] > dv[high]:
+                    low, high = high, low
+                for sy, my, p in ((1, lo_v, low), (-1, -hi_v, high)):
+                    c = sy * dv[p] - my
+                    if c > least:
                         continue
-                    image = _cycle([(sx * a - mx, sy * b - my) for a, b in zip(du, dv)],
-                                   det * sx * sy < 0)
-                    if best is None or image < best:
-                        best, least = image, c
-    return best
+                    s = det * sx * sy
+                    q = (p + 1) % n if s > 0 else p - 1
+                    k = (c, sx * du[q] - mx, sy * dv[q] - my)
+                    if c < least or k < key:
+                        least, key, ties = c, k, []
+                    if k == key:
+                        ties.append((du, dv, sx, mx, sy, my, s < 0))
+    return min(_cycle([(sx * a - mx, sy * b - my) for a, b in zip(du, dv)], flipped)
+               for du, dv, sx, mx, sy, my, flipped in ties)
 
 
 def canonical_form(P: ConvexPolygon) -> ConvexPolygon:

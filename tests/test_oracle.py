@@ -551,17 +551,63 @@ def _normalized_images(P, side, basis):
                                  det * sx * sy < 0)
 
 
+def _least_built(P):
+    """canonical_form(P) as the minimum of every image, built."""
+    D, S = _scaled(P)
+    basis = gauss_reduce(S)
+    least = min(_normalized_images(S, width(S, basis.u2), basis))
+    return tuple(Point(_unscaled(x, D), _unscaled(y, D)) for x, y in least)
+
+
+def _recording_builds(record):
+    """A stand-in for oracle._cycle that appends each image it builds to
+    record."""
+    def recording(image, flipped):
+        record.append(image)
+        return _cycle(image, flipped)
+    return recording
+
+
+def _audit_least_image(n):
+    """canonical_form(P) against the minimum of every image, built
+    (_least_built), on every full-dimensional polygon of
+    enumerate_convex(n) and on each of them scaled by 1/2 and by 1/3:
+    (polygons, images _least_image built, disagreements).  Outside the
+    tests, run it as
+    PYTHONPATH=src:tests python -c "import test_oracle as t; print(t._audit_least_image(4))"
+    """
+    count, built, disagreements = 0, [], 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_cycle", _recording_builds(built))
+        for P in enumerate_convex(n):
+            if P.dim != 2:
+                continue
+            for s in (1, Fraction(1, 2), Fraction(1, 3)):
+                Q = hull((v.x * s, v.y * s) for v in P.vertices)
+                count += 1
+                disagreements += canonical_form(Q).vertices != _least_built(Q)
+    return count, len(built), disagreements
+
+
+# a strictly convex polygon meets a supporting line in a vertex or an
+# edge: these have a vertical edge on their left or right, and their
+# mirror images one on the other side.  The first two lose their forms
+# when either y sign takes the wrong vertex of a two-vertex face
+TWO_VERTEX_FACES = {
+    "left": hull([(0, 0), (2, 2), (0, 3)]),
+    "right": hull([(0, 0), (1, 0), (2, 1), (2, 3)]),
+    "left-mirrored": hull([(0, 0), (-2, 2), (0, 3)]),
+    "right-mirrored": hull([(0, 0), (-1, 0), (-2, 1), (-2, 3)]),
+}
+
+
 class TestLeastImage:
-    """canonical_form skips images that cannot be least; it must pick the
-    minimum of every image, built."""
+    """canonical_form builds only the images that tie on the least first
+    two vertices; it must pick the minimum of every image, built."""
 
     @staticmethod
     def check(P):
-        D, S = _scaled(P)
-        basis = gauss_reduce(S)
-        least = min(_normalized_images(S, width(S, basis.u2), basis))
-        want = tuple(Point(_unscaled(x, D), _unscaled(y, D)) for x, y in least)
-        assert canonical_form(P).vertices == want, P
+        assert canonical_form(P).vertices == _least_built(P), P
 
     def test_grid(self):
         for P in enumerate_convex(4):
@@ -571,6 +617,25 @@ class TestLeastImage:
         for P in RATIONAL_POLYGONS:
             if P.dim == 2:
                 self.check(P)
+
+    @pytest.mark.parametrize("P", TWO_VERTEX_FACES.values(), ids=TWO_VERTEX_FACES.keys())
+    def test_two_vertex_face(self, P):
+        self.check(P)
+
+    @pytest.mark.parametrize("P", [
+        hull([(0, 0), (Fraction(10, 3), 0), (0, Fraction(1, 3))]), thin_triangle(10),
+    ], ids=["rational", "lattice"])
+    def test_thin_triangle_builds_ties_only(self, monkeypatch, P):
+        # 12 square rows give 42 unimodular row pairs and 168 signed
+        # images; only those tying on the least first two vertices are built
+        built = []
+        monkeypatch.setattr(oracle, "_cycle", _recording_builds(built))
+        self.check(P)
+        assert len(oracle._scan(P)[2]) == 12
+        assert 1 <= len(built) <= 6
+
+    def test_audit_small_grid(self):
+        assert _audit_least_image(2) == (504, 3528, 0)
 
 
 class TestCanonicalForm:
