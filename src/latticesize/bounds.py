@@ -60,7 +60,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DegenerateInputError, InvalidInputError
-from .geometry import ConvexPolygon, Coord, _lcd, _unscaled, area, hull
+from .geometry import ConvexPolygon, Coord, _unscaled, area, hull
 from .oracle import canonical_form
 from .size import _report
 
@@ -118,11 +118,11 @@ class BoundsReport:
 
 def _has_form(P: ConvexPolygon, form: ConvexPolygon) -> bool:
     """Whether P is unimodularly equivalent to a polygon whose canonical
-    form is form.  Equivalence keeps the vertex count and the area, so
-    those reject first, and a P that cannot match never builds its own
-    form; otherwise the forms coincide exactly when the two are
-    equivalent (canonical_form)."""
-    return (len(P.vertices) == len(form.vertices) and area(P) == area(form)
+    form is form.  Equivalence keeps the vertex count and the area, P's
+    read off its report, so those reject first, and a P that cannot match
+    never builds its own form; otherwise the forms coincide exactly when
+    the two are equivalent (canonical_form)."""
+    return (len(P.vertices) == len(form.vertices) and _report(P)[0].area == area(form)
             and canonical_form(P) == form)
 
 
@@ -175,7 +175,7 @@ def extremal_family(P: ConvexPolygon) -> EqualityFamily | None:
     """
     if not P.is_lattice:
         raise InvalidInputError("family membership is tested for lattice polygons")
-    report = _report(P)
+    report = _report(P)[0]
     l = report.ls_simplex
     if l >= 1 and _has_form(P, hull([(0, 0), (1, 0), (0, l)])):
         return EqualityFamily.THIN_TRIANGLE
@@ -189,20 +189,17 @@ def extremal_family(P: ConvexPolygon) -> EqualityFamily | None:
     return None
 
 
-def _times(x: Coord, m: int) -> int:
-    """x * m for a rational x whose denominator divides m."""
-    return x.numerator * (m // x.denominator)
-
-
 def check_bounds(P: ConvexPolygon) -> BoundsReport:
-    """Evaluate every applicable bound on a full-dimensional polygon."""
+    """Evaluate every applicable bound on a full-dimensional polygon.
+
+    Each slack is computed on integers: P's report (_report) holds the
+    width w, the square size h, the triangle size l and twice the area t
+    of D*P, D the least common denominator of P's coordinates, and every
+    bound is homogeneous, so a slack of P is that of D*P over D^2.
+    """
     if P.dim != 2:
         raise DegenerateInputError("bounds apply to full-dimensional polygons")
-    rep = _report(P)
-    D = _lcd(P.vertices)
-    # twice the area and the three sizes of D*P, all integers
-    t = _times(rep.area, 2 * D * D)
-    w, h, l = _times(rep.width, D), _times(rep.ls_square, D), _times(rep.ls_simplex, D)
+    rep, D, _, w, h, l, t = _report(P)
     slack_wh = _unscaled(4 * t - 3 * w * h, 8 * D * D)
     slack_wl = _unscaled(2 * t - w * l, 4 * D * D)
     if D == 1:  # a lattice polygon

@@ -8,8 +8,9 @@ smallest vertex (_cycle rotates a mapped cycle into it).  Structural
 equality of polygons is therefore geometric equality.  Computations on
 a rational polygon P run on its integer multiple D*P, D the least common
 denominator of its coordinates (_scaled): lattice_points scans the
-columns of D*P, each edge bounding the columns it spans, and the size
-and oracle modules measure D*P.  hull, too, runs its monotone chain on
+columns of D*P, each edge bounding the columns it spans, and size
+measures D*P once per query (size._report), whose integers the oracle
+and bounds modules read.  hull, too, runs its monotone chain on
 the integer pairs D*p of its input and maps the result back to the
 input's Points.  A polygon hashes its vertices once, on first use, and
 keeps the value, so the memos keyed by polygons hash a Fraction

@@ -25,8 +25,6 @@ from .geometry import (
     Point,
     Target,
     _cycle,
-    _norm,
-    _scaled,
     _unscaled,
     apply_map,
     area,
@@ -190,7 +188,8 @@ def _scan(P: ConvexPolygon) -> tuple:
     hi) for each direction u of candidate_directions(D*P, D*ls_simplex(P),
     basis), in its order, basis the reduced basis of P, row the dot
     products of u with D*P's vertices and lo, hi their extremes, so u's
-    width is hi - lo.
+    width is hi - lo.  D, D*P, both scaled sizes and the basis are read
+    off P's report (_report), which scaled P; the scan does not rescale.
 
     Both searches take every entry: the square search reads the second
     least width, and the triangle search the flip dilates of each
@@ -203,14 +202,12 @@ def _scan(P: ConvexPolygon) -> tuple:
     within the triangle cap too, and a filter keeps the scan's sorted
     order.
     """
-    report = _report(P)
-    D, S = _scaled(P)
+    report, D, S, _, h, l, _ = _report(P)
     rows = []
-    for u in candidate_directions(S, _norm(D * report.ls_simplex), report.basis):
+    for u in candidate_directions(S, l, report.basis):
         row = [u[0] * v.x + u[1] * v.y for v in S.vertices]
         rows.append((u, row, min(row), max(row)))
-    cap = _norm(D * report.ls_square)
-    return D, tuple(rows), tuple(row for row in rows if row[3] - row[2] <= cap)
+    return D, tuple(rows), tuple(row for row in rows if row[3] - row[2] <= h)
 
 
 def _least_image(rows) -> tuple:
@@ -297,7 +294,7 @@ def canonical_form(P: ConvexPolygon) -> ConvexPolygon:
         # of the four images of a segment that fit the bounding square, the
         # vertical segment from the origin is the lexicographic minimum; a
         # point has square size 0, and hull makes the origin of it
-        return hull([Point(0, 0), Point(0, _report(P).ls_square)])
+        return hull([Point(0, 0), Point(0, _report(P)[0].ls_square)])
     return _canonical(P)
 
 
@@ -342,7 +339,7 @@ def is_minimal(P: ConvexPolygon) -> bool:
         raise InvalidInputError("minimality is about lattice polygons")
     if len(P.vertices) == 1:
         return True
-    report = _report(P)
+    report = _report(P)[0]
     h = report.ls_square
     Q = apply_map(report.cert_square.map, P)
     return all(ls_square(drop_vertex(Q, v)) < h for v in Q.vertices)

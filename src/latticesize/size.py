@@ -10,7 +10,10 @@ certificates make those containments directly checkable.
 A rational polygon P is measured as its integer multiple D*P, D the least
 common denominator of its coordinates: every width of D*P is D times that
 of P, so the two reduce to the same basis, and the widths, sizes and
-certificate translations of P are those of D*P divided by D.
+certificate translations of P are those of D*P divided by D.  The
+choice of D is made here: _report scales P once per query and keeps D,
+D*P and the integer sizes of D*P, which oracle and bounds read as they
+are.
 """
 from __future__ import annotations
 
@@ -39,9 +42,9 @@ _FLIPS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 # Polygons whose report, direction scan and canonical form stay memoized
 # (_report here, oracle._scan and oracle._canonical): enough for the
-# public calls of one query to share one reduction and one scan, and far
-# fewer than any sweep or corpus holds.  A lookup costs one cached hash
-# (ConvexPolygon.__hash__).
+# public calls of one query to share one scaling, one reduction and one
+# scan, and far fewer than any sweep or corpus holds.  A lookup costs one
+# cached hash (ConvexPolygon.__hash__).
 _MEMO = 16
 
 
@@ -104,14 +107,17 @@ def ls_square(P: ConvexPolygon) -> Coord:
 
 def invariants(P: ConvexPolygon) -> InvariantsReport:
     """Lattice width, both lattice sizes, area, and witnessing maps."""
-    return _report(P)
+    return _report(P)[0]
 
 
 @lru_cache(maxsize=_MEMO)
-def _report(P: ConvexPolygon) -> InvariantsReport:
-    """invariants(P), memoized for the last _MEMO polygons: the brute-force
-    search, check_bounds, extremal_family and canonical_form read their
-    caps, basis and widths from it, so one query reduces P once."""
+def _report(P: ConvexPolygon) -> tuple:
+    """(invariants(P), D, S, w, h, l, t), memoized for the last _MEMO
+    polygons: D the least common denominator of P's coordinates, S = D*P,
+    w, h and l the width, square size and triangle size of S, and t twice
+    the area of S, all integers.  The brute-force search, check_bounds,
+    extremal_family and canonical_form read their caps, basis and sizes
+    from it, so one query scales and reduces P once."""
     D, S = _scaled(P)
     basis = gauss_reduce(S)
     (a, b), (c, d) = basis.u1, basis.u2
@@ -119,31 +125,33 @@ def _report(P: ConvexPolygon) -> InvariantsReport:
     xs = [a * v.x + b * v.y for v in S.vertices]
     ys = [c * v.x + d * v.y for v in S.vertices]
     min_x, max_x, min_y, max_y = min(xs), max(xs), min(ys), max(ys)
+    w, h = max_x - min_x, max_y - min_y
 
-    square_side = _unscaled(max_y - min_y, D)
     cert_square = ContainmentCertificate(
         UnimodularMap(((a, b), (c, d)), (_unscaled(-min_x, D), _unscaled(-min_y, D))),
-        SQUARE, square_side)
+        SQUARE, _unscaled(h, D))
 
     dilates = flip_dilates(xs, ys)
-    best = min(dilates)
-    sx, sy = _FLIPS[dilates.index(best)]
+    l = min(dilates)
+    sx, sy = _FLIPS[dilates.index(l)]
     shift = (-min_x if sx > 0 else max_x, -min_y if sy > 0 else max_y)
-    simplex_side = _unscaled(best, D)
     cert_simplex = ContainmentCertificate(
         UnimodularMap(((sx * a, sx * b), (sy * c, sy * d)),
                       (_unscaled(shift[0], D), _unscaled(shift[1], D))),
-        SIMPLEX, simplex_side)
+        SIMPLEX, _unscaled(l, D))
 
-    return InvariantsReport(
-        width=_unscaled(max_x - min_x, D),
-        ls_square=square_side,
-        ls_simplex=simplex_side,
-        area=area(S) / (D * D),
+    A = area(S)  # the shoelace sum over 2, so t is an integer
+    t = A.numerator * 2 // A.denominator
+    report = InvariantsReport(
+        width=_unscaled(w, D),
+        ls_square=cert_square.dilate,
+        ls_simplex=cert_simplex.dilate,
+        area=Fraction(t, 2 * D * D),
         basis=basis,
         cert_square=cert_square,
         cert_simplex=cert_simplex,
     )
+    return report, D, S, w, h, l, t
 
 
 def check_touch(P: ConvexPolygon) -> tuple[Coord, Coord] | None:

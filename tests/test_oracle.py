@@ -250,28 +250,34 @@ def _query(P):
             brute_force_lattice_size(P, SIMPLEX), check_bounds(P), canonical_form(P))
 
 
+def _record_calls(monkeypatch, owner, name) -> list:
+    """Record the first argument of every call of owner.name from here on,
+    replaced in every package module that binds it."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(arg, *rest):
+        calls.append(arg)
+        return fn(arg, *rest)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "latticesize" and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def _count_reductions(monkeypatch) -> list:
     """Record the polygon of every basis reduction from here on: gauss_reduce
     and the memo-free reduction of ls_square and lattice_width both go
-    through reduction._reduce, replaced in every package module that binds
-    it."""
-    polygons = []
-    reduce = latticesize.reduction._reduce
-
-    def counted(P):
-        polygons.append(P)
-        return reduce(P)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "latticesize" and getattr(module, "_reduce", None) is reduce:
-            monkeypatch.setattr(module, "_reduce", counted)
-    return polygons
+    through reduction._reduce."""
+    return _record_calls(monkeypatch, latticesize.reduction, "_reduce")
 
 
 class TestOneReduction:
     """From a cold memo, every public call reduces its polygon once, and so
     does a whole query: its calls share one report, and its searches and
-    canonical form one direction scan."""
+    canonical form one direction scan.  The report scales a rational
+    polygon once, and the others read its integers."""
 
     @pytest.mark.parametrize("query", [
         invariants,
@@ -304,6 +310,19 @@ class TestOneReduction:
         for P in (pentagon, quad, RATIONAL_POLYGONS[5]):
             assert _query(P)[3].equality_family is None
         assert scanned == [pentagon, quad, _scaled(RATIONAL_POLYGONS[5])[1]]
+
+    def test_rational_query_scales_once(self, monkeypatch):
+        # one common denominator and one integer multiple D*P per query
+        for memo in MEMOS:
+            memo.cache_clear()
+        P = hull([(Fraction(1, 2), Fraction(5, 2)), (Fraction(3, 4), Fraction(7, 4)),
+                  (Fraction(7, 4), Fraction(3, 2)), (Fraction(13, 4), Fraction(3, 2)),
+                  (Fraction(15, 4), Fraction(5, 2)), (Fraction(5, 2), Fraction(13, 4))])
+        assert len(P.vertices) == 6
+        lcds = _record_calls(monkeypatch, latticesize.geometry, "_lcd")
+        scalings = _record_calls(monkeypatch, latticesize.geometry, "_scaled")
+        _query(P)
+        assert (len(lcds), scalings) == (1, [P])
 
     def test_tight_query_reduces_each_polygon_once(self, monkeypatch):
         # check_bounds compares a tight P's canonical form with its

@@ -122,3 +122,16 @@ def test_readme_audits_name_existing_helpers():
                    if isinstance(f, ast.FunctionDef)}
         assert name in helpers, line
         assert line in helpers[name], line
+
+
+def test_only_size_scales_a_polygon():
+    # the common denominator D and the multiple D*P are computed in
+    # geometry and size alone; the other modules read them off the report
+    src = Path(latticesize.__file__).resolve().parent
+    callers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("_lcd", "_scaled")):
+                callers.add(path.name)
+    assert callers == {"geometry.py", "size.py"}
